@@ -140,7 +140,7 @@ class StateSequencePredicate(Predicate):
         self.name = "states={}".format("→".join(pattern))
 
     def __call__(self, trajectory: SemanticTrajectory) -> bool:
-        sequence = tuple(trajectory.distinct_state_sequence())
+        sequence = trajectory.distinct_states
         if self.exact:
             return sequence == self.pattern
         window = len(self.pattern)

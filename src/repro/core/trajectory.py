@@ -135,12 +135,18 @@ class Trace:
       the predecessor's state (an event-based semantic split).
     """
 
-    __slots__ = ("_entries",)
+    # ``_distinct`` caches :attr:`distinct_states`: set lazily (racing
+    # first readers store equal tuples, so no lock) and left out of
+    # equality, hashing and pickles.
+    __slots__ = ("_entries", "_distinct")
 
     def __init__(self, entries: Iterable[TraceEntry]) -> None:
         entries = tuple(entries)
         _validate_sequence(entries)
         self._entries: Tuple[TraceEntry, ...] = entries
+
+    def __getstate__(self):
+        return None, {"_entries": self._entries}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -181,17 +187,28 @@ class Trace:
 
         This is the symbolic "zone sequence" consumed by sequential
         pattern mining: event-based semantic splits inside one cell do
-        not create artificial moves.
+        not create artificial moves.  A fresh list on every call; see
+        :attr:`distinct_states` for the shared tuple.
         """
-        sequence: List[str] = []
-        for entry in self._entries:
-            if not sequence or sequence[-1] != entry.state:
-                sequence.append(entry.state)
-        return sequence
+        return list(self.distinct_states)
+
+    @property
+    def distinct_states(self) -> Tuple[str, ...]:
+        """:meth:`distinct_state_sequence` as a tuple, computed once
+        (the trace is immutable) and shared by every reader."""
+        try:
+            return self._distinct
+        except AttributeError:
+            sequence: List[str] = []
+            for entry in self._entries:
+                if not sequence or sequence[-1] != entry.state:
+                    sequence.append(entry.state)
+            self._distinct: Tuple[str, ...] = tuple(sequence)
+            return self._distinct
 
     def transitions(self) -> List[Tuple[str, str]]:
         """Ordered ``(from_state, to_state)`` pairs of actual moves."""
-        seq = self.distinct_state_sequence()
+        seq = self.distinct_states
         return list(zip(seq, seq[1:]))
 
     def total_duration(self) -> float:
@@ -373,6 +390,11 @@ class SemanticTrajectory:
     def distinct_state_sequence(self) -> List[str]:
         """Delegates to :meth:`Trace.distinct_state_sequence`."""
         return self.trace.distinct_state_sequence()
+
+    @property
+    def distinct_states(self) -> Tuple[str, ...]:
+        """Delegates to :attr:`Trace.distinct_states`."""
+        return self.trace.distinct_states
 
     def state_at(self, t: float) -> Optional[str]:
         """The state at time ``t``, if the object was detected then."""

@@ -28,7 +28,7 @@ def od_matrix(trajectories: Corpus) -> Dict[Tuple[str, str], int]:
     """Origin–destination counts: first state → last state per visit."""
     counter: Counter = Counter()
     for trajectory in iter_trajectories(trajectories):
-        sequence = trajectory.distinct_state_sequence()
+        sequence = trajectory.distinct_states
         counter[(sequence[0], sequence[-1])] += 1
     return dict(counter)
 
@@ -86,7 +86,7 @@ def flow_balances(trajectories: Corpus) -> List[FlowBalance]:
     ends: Counter = Counter()
     states: set = set()
     for trajectory in iter_trajectories(trajectories):
-        sequence = trajectory.distinct_state_sequence()
+        sequence = trajectory.distinct_states
         states.update(sequence)
         starts[sequence[0]] += 1
         ends[sequence[-1]] += 1

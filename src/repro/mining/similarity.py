@@ -16,7 +16,10 @@ are provided:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.indoor.hierarchy import LayerHierarchy
 
@@ -87,15 +90,10 @@ def state_similarity(hierarchy: LayerHierarchy, state_a: str,
 def state_similarity_table(hierarchy: LayerHierarchy,
                            states: Sequence[str]
                            ) -> Dict[Tuple[str, str], float]:
-    """Precomputed :func:`state_similarity` over a state alphabet.
-
-    The hierarchy metric's DP recomputes the same state-pair
-    similarities for every cell of every sequence pair, yet a corpus
-    draws its states from a small alphabet (the detection layer's ~70
-    zones).  Computing each unordered pair once turns the dominant
-    cost of :func:`similarity_matrix` from O(n²·len²·h) hierarchy
-    walks into O(k²) table builds plus O(n²·len²) dict lookups.
-    """
+    """Precomputed :func:`state_similarity` over a state alphabet:
+    a corpus draws its states from a small alphabet (the detection
+    layer's ~70 zones), so each unordered pair is walked once instead
+    of once per DP cell."""
     alphabet = sorted(set(states))
     table: Dict[Tuple[str, str], float] = {}
     for index, state_a in enumerate(alphabet):
@@ -142,23 +140,20 @@ def hierarchy_similarity(hierarchy: LayerHierarchy,
     return 1.0 - distance / max(len(a), len(b))
 
 
-def _encoded_costs(hierarchy: LayerHierarchy,
+def _encoded_costs(hierarchy: Optional[LayerHierarchy],
                    sequences: Sequence[Sequence[str]]
                    ) -> Tuple[List[List[int]], List[List[float]]]:
-    """Sequences as state codes plus a dense substitution-cost matrix.
-
-    Integer codes turn the DP's per-cell tuple-dict lookup into a list
-    index — the remaining constant factor after the alphabet table
-    removed the per-cell hierarchy walks.
-    """
+    """Sequences as state codes plus a dense substitution-cost matrix
+    (without a hierarchy every substitution costs 1: the soft edit
+    distance is then the exact, small-integer edit distance)."""
     alphabet = sorted({state for sequence in sequences
                        for state in sequence})
     code_of = {state: code for code, state in enumerate(alphabet)}
     costs = [[0.0] * len(alphabet) for _ in alphabet]
     for code_a, state_a in enumerate(alphabet):
         for code_b in range(code_a + 1, len(alphabet)):
-            cost = 1.0 - state_similarity(hierarchy, state_a,
-                                          alphabet[code_b])
+            cost = 1.0 if hierarchy is None else 1.0 - state_similarity(
+                hierarchy, state_a, alphabet[code_b])
             costs[code_a][code_b] = cost
             costs[code_b][code_a] = cost
     encoded = [[code_of[state] for state in sequence]
@@ -166,143 +161,148 @@ def _encoded_costs(hierarchy: LayerHierarchy,
     return encoded, costs
 
 
-def _soft_edit_similarity(a: List[int], b: List[int],
+def _soft_edit_similarity(a: Sequence[int], b: Sequence[int],
                           costs: List[List[float]]) -> float:
-    """The hierarchy_similarity DP over coded sequences."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    width = len(b)
-    previous: List[float] = [float(j) for j in range(width + 1)]
+    """The scalar DP of :func:`hierarchy_similarity`, coded."""
+    previous = [float(j) for j in range(len(b) + 1)]
     for i, code_a in enumerate(a, start=1):
-        row = costs[code_a]
-        current = [float(i)] + [0.0] * width
+        row, current = costs[code_a], [float(i)] + [0.0] * len(b)
         for j, code_b in enumerate(b, start=1):
-            substitution = previous[j - 1] + row[code_b]
-            deletion = previous[j] + 1.0
-            insertion = current[j - 1] + 1.0
-            best = substitution if substitution <= deletion \
-                else deletion
-            current[j] = best if best <= insertion else insertion
+            best = previous[j - 1] + row[code_b]  # comparisons beat min()
+            if previous[j] + 1.0 < best:
+                best = previous[j] + 1.0
+            current[j] = best if best <= current[j - 1] + 1.0 \
+                else current[j - 1] + 1.0
         previous = current
     return 1.0 - previous[-1] / max(len(a), len(b))
+
+
+#: Cells of the one workspace every batch of the kernel reuses.
+WORKSPACE_CELLS = 32768
+#: Buckets whose batches update fewer cells per anti-diagonal step go
+#: to the scalar DP (numpy calls grow with sides' sum, cells with product).
+MIN_STEP_CELLS = 32
+
+
+def _pair_similarities(unique: Sequence[Tuple[int, ...]],
+                       costs: List[List[float]],
+                       lower: np.ndarray, upper: np.ndarray
+                       ) -> np.ndarray:
+    """Soft edit similarity of each pair ``(unique[lower[p]],
+    unique[upper[p]])`` of distinct coded sequences, batched: sides are
+    padded to the next power of two (at least 4), pairs bucketed by
+    both, and a batch's DP runs in anti-diagonal order (whose cells are
+    independent) on strided views of the fixed workspace, one pair per
+    column, through ``out=``.  Every cell does the IEEE operations of
+    :func:`hierarchy_similarity`'s DP: the values are bit-identical.
+    """
+    lengths = np.array([len(codes) for codes in unique], dtype=np.intp)
+    power = np.array([max(2, (len(codes) - 1).bit_length())
+                      for codes in unique], dtype=np.intp)
+    slot, padded = np.empty_like(power), {}  # sequences by padded length
+    for exponent in map(int, np.flatnonzero(np.bincount(power))):
+        members = np.flatnonzero(power == exponent)
+        slot[members] = np.arange(len(members))
+        padded[1 << exponent] = np.zeros((len(members), 1 << exponent),
+                                         np.intp)
+        for row, member in zip(padded[1 << exponent], members):
+            row[:lengths[member]] = unique[member]
+    len_a, len_b = lengths[lower], lengths[upper]
+    longer, powers = np.maximum(len_a, len_b), int(power.max()) + 1
+    bucket = power[lower] * powers + power[upper]
+    values = np.empty(len(lower))  # an empty side scores 1 − n / n = 0
+    table = np.array(costs, dtype=float).ravel()
+    work = np.empty(WORKSPACE_CELLS)
+    for key in map(int, np.flatnonzero(np.bincount(bucket))):
+        chosen = np.flatnonzero(bucket == key)
+        rows, cols = (1 << exponent for exponent in divmod(key, powers))
+        width = cols + 1
+        # Per pair: its DP grid, its substitution costs, a DP step.
+        grid, costs_at = (rows + 1) * width, (rows + 1) * width + rows * cols
+        size = WORKSPACE_CELLS // (costs_at + rows)
+        if size * rows * cols < MIN_STEP_CELLS * (rows + cols):
+            values[chosen] = [_soft_edit_similarity(
+                unique[lower[p]], unique[upper[p]], costs) for p in chosen]
+            continue
+        for pairs in np.split(chosen, range(size, len(chosen), size)):
+            batch = len(pairs)
+            dp = work[:grid * batch].reshape(-1, batch)
+            sub = work[grid * batch:costs_at * batch].reshape(-1, batch)
+            spare = work[costs_at * batch:(costs_at + rows) * batch]
+            # The cost lookup borrows the grid's cells before the DP.
+            index = dp.view(np.intp)[:rows * cols].reshape(rows, cols, -1)
+            np.multiply(padded[rows][slot[lower[pairs]]].T[:, None],
+                        len(costs), out=index)
+            np.add(index, padded[cols][slot[upper[pairs]]].T[None],
+                   out=index)
+            np.take(table, index.reshape(-1, batch), out=sub, mode="clip")
+            dp[:width] = np.arange(width, dtype=float)[:, None]
+            dp[::width] = np.arange(rows + 1, dtype=float)[:, None]
+            for diagonal in range(2, rows + cols + 1):
+                first = max(1, diagonal - cols)
+                count = min(rows, diagonal - 1) - first + 1
+                at = first * width + diagonal - first
+                stop = at + (count - 1) * cols + 1
+                at_sub = (first - 1) * cols + diagonal - first - 1
+                cell = dp[at:stop:cols]
+                step = spare[:count * batch].reshape(count, batch)
+                np.add(dp[at - width - 1:stop - width - 1:cols],
+                       sub[at_sub:at_sub + (count - 1) * (cols - 1) + 1:
+                           cols - 1], out=cell)
+                np.add(dp[at - width:stop - width:cols], 1.0, out=step)
+                np.minimum(cell, step, out=cell)
+                np.add(dp[at - 1:stop - 1:cols], 1.0, out=step)
+                np.minimum(cell, step, out=cell)
+            distance = dp[len_a[pairs] * width + len_b[pairs],
+                          np.arange(batch)]
+            values[pairs] = 1.0 - distance / longer[pairs]
+    return values
 
 
 def similarity_matrix(hierarchy: Optional[LayerHierarchy],
                       sequences: Sequence[Sequence[str]]
                       ) -> List[List[float]]:
-    """Pairwise similarity matrix (hierarchy-aware when given one).
-
-    With a hierarchy, the state-pair similarities are precomputed once
-    over the sequences' alphabet and shared across all O(n²) DP runs
-    on integer-coded sequences; the values are identical to calling
-    :func:`hierarchy_similarity` per pair.
-    """
-    size = len(sequences)
-    matrix = [[1.0] * size for _ in range(size)]
-    if hierarchy is not None:
-        encoded, costs = _encoded_costs(hierarchy, sequences)
-        # Corpora repeat state sequences heavily (short symbolic
-        # paths over a small alphabet): run the DP once per unique
-        # sequence pair and broadcast.  hierarchy_similarity depends
-        # only on sequence contents, so values are unchanged.
-        unique_index: Dict[Tuple[int, ...], int] = {}
-        member_of: List[int] = []
-        unique: List[List[int]] = []
-        for codes in encoded:
-            key = tuple(codes)
-            found = unique_index.get(key)
-            if found is None:
-                found = len(unique)
-                unique_index[key] = found
-                unique.append(codes)
-            member_of.append(found)
-        pair_value: Dict[Tuple[int, int], float] = {}
-        for i in range(size):
-            unique_i = member_of[i]
-            for j in range(i + 1, size):
-                unique_j = member_of[j]
-                if unique_i == unique_j:
-                    value = 1.0
-                else:
-                    pair = (unique_i, unique_j) \
-                        if unique_i < unique_j else (unique_j, unique_i)
-                    value = pair_value.get(pair)
-                    if value is None:
-                        value = _soft_edit_similarity(
-                            unique[pair[0]], unique[pair[1]], costs)
-                        pair_value[pair] = value
-                matrix[i][j] = value
-                matrix[j][i] = value
-        return matrix
-    for i in range(size):
-        for j in range(i + 1, size):
-            value = normalized_edit_similarity(sequences[i],
-                                               sequences[j])
-            matrix[i][j] = value
-            matrix[j][i] = value
-    return matrix
+    """Pairwise similarity matrix (hierarchy-aware when given one),
+    identical to :func:`hierarchy_similarity` (without a hierarchy,
+    :func:`normalized_edit_similarity`) per pair."""
+    return _similarity_rows(hierarchy, sequences, 0, len(sequences))
 
 
 def similarity_block(hierarchy: Optional[LayerHierarchy],
                      sequences: Sequence[Sequence[str]],
                      row_start: int, row_end: int
                      ) -> List[List[float]]:
-    """Rows ``[row_start, row_end)`` of :func:`similarity_matrix`.
-
-    The shard-partition unit for distributed similarity: every pair's
-    score depends only on the two sequences and the hierarchy (the
-    cost table is symmetric and per-state-pair), and the DP is always
-    run with the lower unique index first — exactly as the full
-    matrix does — so a block computed against the full column set is
-    bit-identical to the same rows of the full matrix.
-    """
+    """Rows ``[row_start, row_end)`` of :func:`similarity_matrix`,
+    bit-identical to them: the shard-partition unit for distributed
+    similarity."""
     size = len(sequences)
     if not 0 <= row_start <= row_end <= size:
         raise ValueError("row block [{}, {}) out of range for {} "
                          "sequences".format(row_start, row_end, size))
-    if hierarchy is None:
-        block = []
-        for i in range(row_start, row_end):
-            row = [1.0] * size
-            for j in range(size):
-                if j != i:
-                    row[j] = normalized_edit_similarity(sequences[i],
-                                                        sequences[j])
-            block.append(row)
-        return block
+    return _similarity_rows(hierarchy, sequences, row_start, row_end)
+
+
+def _similarity_rows(hierarchy: Optional[LayerHierarchy],
+                     sequences: Sequence[Sequence[str]],
+                     row_start: int, row_end: int
+                     ) -> List[List[float]]:
+    """Matrix rows from one DP per unique sequence pair (corpora
+    repeat sequences heavily), lower unique index first; each row
+    shares its unique sequence's float objects."""
+    if len(sequences) < 2:  # no pairs: at most the diagonal
+        return [[1.0] for _ in range(row_start, row_end)]
     encoded, costs = _encoded_costs(hierarchy, sequences)
     unique_index: Dict[Tuple[int, ...], int] = {}
-    member_of: List[int] = []
-    unique: List[List[int]] = []
-    for codes in encoded:
-        key = tuple(codes)
-        found = unique_index.get(key)
-        if found is None:
-            found = len(unique)
-            unique_index[key] = found
-            unique.append(codes)
-        member_of.append(found)
-    pair_value: Dict[Tuple[int, int], float] = {}
-    block = []
-    for i in range(row_start, row_end):
-        unique_i = member_of[i]
-        row = [1.0] * size
-        for j in range(size):
-            if j == i:
-                continue
-            unique_j = member_of[j]
-            if unique_i == unique_j:
-                value = 1.0
-            else:
-                pair = (unique_i, unique_j) \
-                    if unique_i < unique_j else (unique_j, unique_i)
-                value = pair_value.get(pair)
-                if value is None:
-                    value = _soft_edit_similarity(
-                        unique[pair[0]], unique[pair[1]], costs)
-                    pair_value[pair] = value
-            row[j] = value
-        block.append(row)
-    return block
+    member_of = [unique_index.setdefault(tuple(codes), len(unique_index))
+                 for codes in encoded]
+    rows = sorted(set(member_of[row_start:row_end]))
+    needed = np.zeros((len(unique_index),) * 2, dtype=bool)
+    needed[rows, :] = needed[:, rows] = True
+    lower, upper = np.nonzero(np.triu(needed, 1))
+    scores = np.ones(needed.shape)
+    scores[lower, upper] = scores[upper, lower] = _pair_similarities(
+        list(unique_index), costs, lower, upper)
+    pick = itemgetter(*member_of)
+    shared = {row: scores[row].tolist() for row in rows}
+    return [list(pick(shared[member_of[i]]))
+            for i in range(row_start, row_end)]

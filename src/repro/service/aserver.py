@@ -153,7 +153,11 @@ class AsyncServiceServer:
         self.drain_timeout = drain_timeout
         self.cache = ResponseCache() if response_cache else None
 
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # IPPROTO_TCP, not 0: accepted sockets inherit the protocol,
+        # and asyncio sets TCP_NODELAY only on sockets that name it —
+        # with Nagle on, a pipelined client's replies wait for ACKs.
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM,
+                             socket.IPPROTO_TCP)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             sock.bind((host, port))
@@ -410,9 +414,18 @@ class AsyncServiceServer:
                 time.monotonic())
         else:
             future = self._loop.run_in_executor(
-                self._executor, execute_json, self.registry, body,
-                self.cache)
+                self._executor, self._execute, body)
         await self._enqueue(queue, future)
+
+    def _execute(self, body: bytes) -> Tuple[int, bytes]:
+        """Bridge-thread execution of a body the loop already missed
+        in the cache (so the cache is not asked again).  Without a
+        cache the call keeps :func:`execute_json`'s two-argument form,
+        the one its stand-ins in tests accept."""
+        if self.cache is None:
+            return execute_json(self.registry, body)
+        return execute_json(self.registry, body, self.cache,
+                            looked_up=True)
 
     def _execute_deadlined(self, body: bytes,
                            enqueued_at: float) -> Tuple[int, bytes]:
@@ -436,7 +449,7 @@ class AsyncServiceServer:
                     code="deadline_exceeded",
                     message="deadline_ms={} expired after {:.0f} ms "
                             "queued".format(ms, waited_ms)).to_json()
-        return execute_json(self.registry, body, self.cache)
+        return self._execute(body)
 
     async def _enqueue(self, queue: "asyncio.Queue", item) -> None:
         self._pending += 1

@@ -448,12 +448,11 @@ def _ingest_documents(registry: SessionRegistry,
 
 def _count_patterns(registry: SessionRegistry,
                     command: P.CountPatterns) -> P.Response:
-    from repro.mining.prefixspan import pattern_support
+    from repro.mining.prefixspan import pattern_supports
 
     session = _session(registry, command.session)
     sequences = state_sequences(_corpus(session, command.query))
-    supports = [pattern_support(sequences, tuple(pattern))
-                for pattern in command.patterns]
+    supports = pattern_supports(sequences, command.patterns)
     return P.PatternSupports(supports=supports,
                              sequences=len(sequences))
 

@@ -181,8 +181,8 @@ class ResponseCache:
 
 
 def execute_json(registry: SessionRegistry, raw: bytes,
-                 cache: Optional[ResponseCache] = None
-                 ) -> Tuple[int, bytes]:
+                 cache: Optional[ResponseCache] = None, *,
+                 looked_up: bool = False) -> Tuple[int, bytes]:
     """One ``POST /v1/call`` body → ``(HTTP status, response bytes)``.
 
     Exactly the server semantics: protocol failures come back as a
@@ -190,9 +190,12 @@ def execute_json(registry: SessionRegistry, raw: bytes,
     status, unexpected exceptions as a 500 ``internal`` — the
     function never raises.  With a ``cache``, read commands are
     served from (and inserted into) it under the versioned-stamp
-    rules above; error responses are never cached.
+    rules above; error responses are never cached.  ``looked_up``
+    says the caller already missed ``raw`` in the cache: the body is
+    executed and inserted without a second lookup, so every request
+    counts in the cache's statistics once.
     """
-    if cache is not None:
+    if cache is not None and not looked_up:
         held = cache.get(registry, raw)
         if held is not None:
             return held

@@ -206,7 +206,7 @@ class FollowsSequence(Expr):
         object.__setattr__(self, "pattern", tuple(pattern))
 
     def matches(self, trajectory: SemanticTrajectory) -> bool:
-        sequence = tuple(trajectory.distinct_state_sequence())
+        sequence = trajectory.distinct_states
         window = len(self.pattern)
         if window == 0:
             return True

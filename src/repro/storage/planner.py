@@ -181,12 +181,11 @@ class Filter(PlanNode):
         self.estimate = child.estimate
 
     def ids(self) -> FrozenSet[int]:
-        hits = []
-        for doc_id in self.child.ids():
-            trajectory = self._store.get(doc_id)
-            if all(p.matches(trajectory) for p in self.predicates):
-                hits.append(doc_id)
-        return frozenset(hits)
+        doc_ids = list(self.child.ids())
+        return frozenset(
+            doc_id for doc_id, trajectory
+            in zip(doc_ids, self._store.iter_ids(doc_ids))
+            if all(p.matches(trajectory) for p in self.predicates))
 
     def render(self, indent: int = 0) -> List[str]:
         label = ", ".join(p.describe() for p in self.predicates)
@@ -227,8 +226,9 @@ class Plan:
         if start_after is not None:
             candidates = [doc_id for doc_id in candidates
                           if doc_id > start_after]
-        for doc_id in sorted(candidates):
-            trajectory = self._store.get(doc_id)
+        doc_ids = sorted(candidates)
+        for doc_id, trajectory in zip(doc_ids,
+                                      self._store.iter_ids(doc_ids)):
             if all(p.matches(trajectory) for p in residuals):
                 yield StoredTrajectory(doc_id, trajectory)
 

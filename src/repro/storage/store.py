@@ -259,6 +259,26 @@ class TrajectoryStore:
         for doc_id in range(count):
             yield self._docs[doc_id]
 
+    def iter_ids(self, doc_ids: Iterable[int]
+                 ) -> Iterator[SemanticTrajectory]:
+        """Fetch documents by id, in the given order, taking the read
+        lock once per scan rather than once per document.
+
+        Like :meth:`__iter__`, the document count is snapshotted under
+        the read lock when the scan starts and documents are yielded
+        without holding it; the scan stays lazy, so a consumer that
+        stops early fetches only what it took.
+
+        Raises:
+            IndexError: for an id not stored when the scan started.
+        """
+        with self._lock.read_locked():
+            docs, count = self._docs, len(self._docs)
+        for doc_id in doc_ids:
+            if not 0 <= doc_id < count:
+                raise IndexError("no document {}".format(doc_id))
+            yield docs[doc_id]
+
     def get(self, doc_id: int) -> SemanticTrajectory:
         """Fetch by document id.
 

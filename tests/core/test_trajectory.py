@@ -86,6 +86,11 @@ class TestTraceValidation:
         assert len(trace) == 2
 
 
+def make_copies(traces):
+    """Equal traces with cold caches."""
+    return [Trace(trace.entries) for trace in traces]
+
+
 class TestTraceViews:
     def test_states_and_distinct_sequence(self):
         trace = Trace([
@@ -96,6 +101,67 @@ class TestTraceViews:
         assert trace.states() == ["a", "a", "b"]
         assert trace.distinct_state_sequence() == ["a", "b"]
         assert trace.transitions() == [("a", "b")]
+
+    def test_distinct_sequence_is_a_fresh_list(self):
+        trace = make_trajectory(states=("a", "b", "a")).trace
+        first = trace.distinct_state_sequence()
+        first.append("z")
+        first[0] = "y"
+        assert trace.distinct_state_sequence() == ["a", "b", "a"]
+        assert trace.distinct_states == ("a", "b", "a")
+        assert trace.distinct_state_sequence() \
+            is not trace.distinct_state_sequence()
+
+    def test_cached_states_leave_identity_alone(self):
+        """The cached tuple is invisible to equality, hashing and
+        pickles: a trace pickles to the same bytes before and after
+        the cache fills, and round-trips equal."""
+        import pickle
+
+        trajectory = make_trajectory(states=("a", "b", "c"))
+        cold = make_trajectory(states=("a", "b", "c"))
+        before = [pickle.dumps(trajectory, protocol)
+                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        assert trajectory.distinct_states == ("a", "b", "c")
+        after = [pickle.dumps(trajectory, protocol)
+                 for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        assert before == after
+        assert trajectory == cold and trajectory.trace == cold.trace
+        assert hash(trajectory) == hash(cold)
+        assert hash(trajectory.trace) == hash(cold.trace)
+        revived = pickle.loads(after[-1])
+        assert revived == trajectory
+        assert revived.distinct_state_sequence() == ["a", "b", "c"]
+
+    def test_cached_states_under_concurrent_first_reads(self):
+        """Threads racing to fill the cache all read the same
+        sequence (the fill is idempotent, so no lock is needed)."""
+        import sys
+        import threading
+
+        traces = [make_trajectory(states=("a", "b", "c")[:1 + i % 3]
+                                  * (1 + i % 4)).trace
+                  for i in range(200)]
+        expected = [tuple(trace.distinct_state_sequence())
+                    for trace in make_copies(traces)]
+        seen = [[] for _ in range(8)]
+
+        def reader(out):
+            out.extend(trace.distinct_states for trace in traces)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(out,))
+                       for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(out == expected for out in seen)
 
     def test_durations(self):
         trace = Trace([TraceEntry(None, "a", 0, 10),

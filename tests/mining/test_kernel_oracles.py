@@ -1,0 +1,235 @@
+"""Oracle properties for the fast mining kernels.
+
+The multiplicity-weighted PrefixSpan is held against the classic
+recursive miner over the raw sequences (kept here as the reference),
+and the batched similarity kernel against the per-pair DP of
+:func:`hierarchy_similarity` / :func:`normalized_edit_similarity`,
+bit for bit.
+"""
+
+import random
+import tracemalloc
+from typing import Dict, List, Sequence, Tuple
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.mining import similarity
+from repro.mining.prefixspan import (
+    pattern_support,
+    pattern_supports,
+    prefixspan,
+)
+from repro.mining.similarity import (
+    hierarchy_similarity,
+    normalized_edit_similarity,
+    similarity_block,
+    similarity_matrix,
+)
+
+
+# ----------------------------------------------------------------------
+# PrefixSpan
+# ----------------------------------------------------------------------
+def reference_prefixspan(sequences: Sequence[Sequence[str]],
+                         min_support: int,
+                         max_length: int) -> List[Tuple[Tuple[str, ...],
+                                                        int]]:
+    """The classic PrefixSpan: one projection entry per raw sequence,
+    a per-item first-position map and a second pass per extension."""
+    out: List[Tuple[Tuple[str, ...], int]] = []
+
+    def grow(prefix, projected):
+        if len(prefix) >= max_length:
+            return
+        support: Dict[str, int] = {}
+        first_position: Dict[Tuple[str, int], int] = {}
+        for seq_index, offset in projected:
+            seen = set()
+            sequence = sequences[seq_index]
+            for position in range(offset, len(sequence)):
+                item = sequence[position]
+                if item in seen:
+                    continue
+                seen.add(item)
+                support[item] = support.get(item, 0) + 1
+                first_position[(item, seq_index)] = position
+        for item in sorted(support):
+            if support[item] < min_support:
+                continue
+            new_prefix = prefix + (item,)
+            out.append((new_prefix, support[item]))
+            grow(new_prefix,
+                 [(seq_index, first_position[(item, seq_index)] + 1)
+                  for seq_index, _ in projected
+                  if (item, seq_index) in first_position])
+
+    grow((), [(index, 0) for index in range(len(sequences))])
+    out.sort(key=lambda pattern: (-pattern[1], pattern[0]))
+    return out
+
+
+#: Short sequences over a small alphabet: duplicates, empty sequences
+#: and repeated items (consecutive or not) all occur often.
+corpora = st.lists(st.lists(st.sampled_from("abcde"), max_size=7),
+                   max_size=30).flatmap(
+    lambda base: st.lists(st.sampled_from(base), max_size=40)
+    .map(lambda extra: base + extra) if base else st.just(base))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora, st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=6))
+def test_prefixspan_matches_reference(sequences, min_support,
+                                      max_length):
+    mined = prefixspan(sequences, min_support, max_length)
+    assert [(p.sequence, p.support) for p in mined] \
+        == reference_prefixspan(sequences, min_support, max_length)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora, st.lists(st.lists(st.sampled_from("abcdef"),
+                                  max_size=4), max_size=10))
+def test_pattern_supports_match_per_pattern_recount(sequences,
+                                                    patterns):
+    assert pattern_supports(sequences, patterns) == [
+        pattern_support(sequences, pattern) for pattern in patterns]
+
+
+def test_prefixspan_keeps_its_errors():
+    with pytest.raises(ValueError):
+        prefixspan([["a"]], min_support=0)
+    with pytest.raises(ValueError):
+        prefixspan([["a"]], min_support=1, max_length=0)
+
+
+# ----------------------------------------------------------------------
+# similarity
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def zone_states(small_trajectories):
+    return sorted({state for trajectory in small_trajectories
+                   for state in trajectory.states()})
+
+
+def hexed(rows: List[List[float]]) -> List[List[str]]:
+    return [[value.hex() for value in row] for row in rows]
+
+
+def state_corpora(states: List[str]):
+    """Corpora with repeats, empty sequences and sequences up to 40
+    long, so every padded length from 4 to 64 meets every other."""
+    sequence = st.one_of(
+        st.lists(st.sampled_from(states[:6]), max_size=5),
+        st.lists(st.sampled_from(states), max_size=40))
+    return st.lists(sequence, min_size=2, max_size=24).flatmap(
+        lambda base: st.lists(st.sampled_from(base), max_size=12)
+        .map(lambda extra: base + extra))
+
+
+#: Workspaces small enough that one matrix spans many batches (and
+#: long pairs fall back to the scalar DP), besides the real one.
+workspaces = st.sampled_from([300, 1000, similarity.WORKSPACE_CELLS])
+#: Per-step cell floors: batch whatever fits, the real rule, and
+#: score every pair with the scalar DP.
+step_floors = st.sampled_from([1, similarity.MIN_STEP_CELLS, 10 ** 9])
+
+
+def kernel_settings(data):
+    """Patch the kernel's workspace and batching floor to drawn
+    values."""
+    patched = mock.patch.multiple(
+        similarity, WORKSPACE_CELLS=data.draw(workspaces),
+        MIN_STEP_CELLS=data.draw(step_floors))
+    return patched
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_is_per_pair_hierarchy_similarity_bit_for_bit(
+        louvre_space, zone_states, data):
+    hierarchy = louvre_space.zone_hierarchy
+    sequences = data.draw(state_corpora(zone_states))
+    with kernel_settings(data):
+        matrix = similarity_matrix(hierarchy, sequences)
+    expected = [[1.0 if i == j else hierarchy_similarity(hierarchy, a, b)
+                 for j, b in enumerate(sequences)]
+                for i, a in enumerate(sequences)]
+    assert hexed(matrix) == hexed(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_without_hierarchy_is_normalized_edit_similarity(
+        zone_states, data):
+    sequences = data.draw(state_corpora(zone_states))
+    with kernel_settings(data):
+        matrix = similarity_matrix(None, sequences)
+    expected = [[1.0 if i == j else normalized_edit_similarity(a, b)
+                 for j, b in enumerate(sequences)]
+                for i, a in enumerate(sequences)]
+    assert hexed(matrix) == hexed(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_rows_equal_matrix_rows(louvre_space, zone_states, data):
+    hierarchy = data.draw(st.sampled_from(
+        [louvre_space.zone_hierarchy, None]))
+    sequences = data.draw(state_corpora(zone_states))
+    start = data.draw(st.integers(0, len(sequences)))
+    end = data.draw(st.integers(start, len(sequences)))
+    matrix = similarity_matrix(hierarchy, sequences)
+    assert hexed(similarity_block(hierarchy, sequences, start, end)) \
+        == hexed(matrix[start:end])
+
+
+def test_more_pairs_than_one_workspace_holds(louvre_space,
+                                             small_trajectories):
+    """The real workspace and more unique pairs than one batch of
+    the shortest bucket holds: still the per-pair values."""
+    hierarchy = louvre_space.zone_hierarchy
+    sequences = sorted({tuple(t.distinct_state_sequence())
+                        for t in small_trajectories})
+    sequences = [list(sequence) for sequence in sequences]
+    shortest_pair_cells = (4 + 1) ** 2 + 4 * 4 + 4  # grid, costs, step
+    assert len(sequences) * (len(sequences) - 1) // 2 \
+        > similarity.WORKSPACE_CELLS // shortest_pair_cells
+    matrix = similarity_matrix(hierarchy, sequences)
+    for i in range(0, len(sequences), 7):
+        for j in range(len(sequences)):
+            if i != j:
+                assert matrix[i][j].hex() == hierarchy_similarity(
+                    hierarchy, sequences[i], sequences[j]).hex()
+
+
+def test_long_sequence_among_short_ones(louvre_space, zone_states):
+    """A 2,000-state sequence beside short ones: the values are still
+    the per-pair DP's, and memory stays near the fixed workspace (a
+    grid padded to the longest length would take ~64 MB here)."""
+    hierarchy = louvre_space.zone_hierarchy
+    rng = random.Random(7)
+    sequences = [[rng.choice(zone_states) for _ in range(length)]
+                 for length in [2000, 0, 1, 3, 9, 17, 25, 40] * 2]
+    tracemalloc.start()
+    try:
+        matrix = similarity_matrix(hierarchy, sequences)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * similarity.WORKSPACE_CELLS
+    for i, a in enumerate(sequences):
+        for j, b in enumerate(sequences):
+            if i != j:
+                assert matrix[i][j].hex() \
+                    == hierarchy_similarity(hierarchy, a, b).hex()
+
+
+def test_tiny_inputs():
+    assert similarity_matrix(None, []) == []
+    assert similarity_matrix(None, [["a"]]) == [[1.0]]
+    assert similarity_block(None, [["a"]], 1, 1) == []
+    assert similarity_matrix(None, [[], []]) == [[1.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(ValueError):
+        similarity_block(None, [["a"]], 0, 2)

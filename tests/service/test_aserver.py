@@ -359,3 +359,45 @@ class TestResponseCacheOverHttp:
             after = client.summary("louvre").stats
             assert after["visits"] > before["visits"]
             client.close()
+
+    def test_each_uncached_request_counts_one_miss(self):
+        """A miss is looked up once, by the front end: the bridge
+        executes and stores it without asking the cache again."""
+        registry = SessionRegistry()
+        registry.build("louvre", scale=0.01, wait=True)
+        lookups = []
+        with AsyncServiceServer(registry, port=0) as server:
+            real_get = server.cache.get
+
+            def counted_get(*args, **kwargs):
+                lookups.append(args[-1])
+                return real_get(*args, **kwargs)
+
+            server.cache.get = counted_get
+            client = ServiceClient(server.url)
+            for limit in range(1, 9):
+                client.run_query("louvre", limit=limit)
+            client.run_query("louvre", limit=1)  # one hit
+            stats = client.health()["load"]["cache"]
+            client.close()
+        assert stats["misses"] == 8
+        assert stats["hits"] == 1
+        assert len(lookups) == 9
+
+
+class TestSocketOptions:
+    def test_accepted_connections_disable_nagle(self):
+        with AsyncServiceServer(SessionRegistry(), port=0) as server:
+            sock = connect(server)
+            try:
+                sock.sendall(post_bytes(LIST_SESSIONS))
+                status, _, _, _ = read_response(sock)
+                assert status == 200
+                accepted = [writer.get_extra_info("socket")
+                            for writer in list(server._conn_writers)]
+                assert accepted
+                for peer in accepted:
+                    assert peer.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY) == 1
+            finally:
+                sock.close()

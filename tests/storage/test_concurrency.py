@@ -171,6 +171,45 @@ class TestConcurrentStore:
         # a fresh iteration sees everything
         assert sum(1 for _ in store) == 100
 
+    def test_query_scan_snapshots_against_extend(self):
+        """A streamed query scan started before an ``extend`` yields
+        exactly the matches from before it, taking the read lock once
+        for its fetches."""
+        store = TrajectoryStore()
+        store.extend(_batch(0, size=50))
+        query = Query(store).min_entries(2)
+        expected = [hit.doc_id for hit in query.execute()]
+        assert expected
+
+        acquired = []
+        real_acquire = ReadWriteLock.acquire_read
+
+        def counted(lock, *args, **kwargs):
+            acquired.append(1)
+            return real_acquire(lock, *args, **kwargs)
+
+        scan = query.plan().iter_results()
+        first = next(scan)  # candidates and the fetch snapshot taken
+        store.extend(_batch(1, size=50))
+        try:
+            ReadWriteLock.acquire_read = counted
+            rest = [hit.doc_id for hit in scan]
+        finally:
+            ReadWriteLock.acquire_read = real_acquire
+        assert [first.doc_id] + rest == expected
+        assert acquired == []
+        assert len([hit.doc_id for hit in query.execute()]) \
+            > len(expected)
+
+    def test_id_scan_rejects_ids_stored_after_it_started(self):
+        store = TrajectoryStore()
+        store.extend(_batch(0, size=5))
+        scan = store.iter_ids([0, 6])
+        assert next(scan).mo_id == "mo0"
+        store.extend(_batch(1, size=5))
+        with pytest.raises(IndexError):
+            next(scan)
+
     def test_reads_see_whole_batches_eventually(self):
         """After the writer finishes, every index agrees."""
         store = TrajectoryStore()
