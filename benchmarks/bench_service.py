@@ -13,16 +13,15 @@ session (built once, store indexes hot) it measures
 * ``http_paginate`` — a full stable-cursor walk over the corpus in
   pages of 100 (pages/s);
 * ``http_concurrent`` — 4 client threads hammering ``RunQuery``
-  against the threaded server (aggregate requests/s);
+  against the same server (aggregate requests/s);
 * ``openloop`` — the concurrent load benchmark: raw keep-alive
   sockets firing pre-serialized requests at a **target arrival
   rate**, latency measured from each request's *intended* send time
   (no coordinated omission — a slow server inflates the tail instead
-  of slowing the load down).  Three server configurations are
+  of slowing the load down).  Two server configurations are
   driven: the asyncio front-end with its versioned response cache
-  (the deployment default and the headline number), the asyncio
-  front-end with the cache off (every request pays plan + execute +
-  serialize), and the legacy threaded server.
+  (the deployment default and the headline number) and with the
+  cache off (every request pays plan + execute + serialize).
 
 The serialization denominator: every request plans the query, pages
 the lazy result set, and serializes full trajectories to canonical
@@ -50,7 +49,6 @@ from repro.service.aserver import AsyncServiceServer
 from repro.service.client import ServiceClient
 from repro.service.executor import LocalBinding
 from repro.service.registry import SessionRegistry
-from repro.service.server import ServiceServer
 from repro.synth.pacing import ArrivalSchedule
 
 SESSION = "bench"
@@ -82,9 +80,9 @@ def _post_bytes(body: bytes) -> bytes:
 
 
 def _quickack(sock: socket.socket) -> None:
-    # The legacy http.server front-end writes a response as several
-    # small segments with Nagle on; without immediate ACKs the bench
-    # would measure the kernel's delayed-ACK timer, not the server.
+    # Without immediate ACKs a reply the server wrote in several
+    # segments could wait on the kernel's delayed-ACK timer, and the
+    # bench would measure that timer, not the server.
     if hasattr(socket, "TCP_QUICKACK"):  # Linux
         try:
             sock.setsockopt(socket.IPPROTO_TCP,
@@ -193,7 +191,7 @@ def open_loop(address, request: bytes, target_rps: float,
 
 def run_open_loop_suite(registry: SessionRegistry, command_bytes:
                         bytes, smoke: bool) -> Dict[str, Dict]:
-    """The three server configurations under open-loop load."""
+    """The two server configurations under open-loop load."""
     request = _post_bytes(command_bytes)
     duration = 1.5 if smoke else 4.0
     suite: Dict[str, Dict] = {}
@@ -215,9 +213,6 @@ def run_open_loop_suite(registry: SessionRegistry, command_bytes:
         2000 if smoke else 8000)
     suite["async_nocache"] = drive(
         AsyncServiceServer(registry, port=0, response_cache=False),
-        400 if smoke else 1200)
-    suite["threading"] = drive(
-        ServiceServer(registry, port=0, response_cache=False),
         400 if smoke else 1200)
     return suite
 
@@ -252,7 +247,7 @@ def run_benchmarks(smoke: bool = False) -> Dict:
     }
 
     # -- over HTTP ------------------------------------------------------
-    server = ServiceServer(registry, port=0).start()
+    server = AsyncServiceServer(registry, port=0).start()
     try:
         client = ServiceClient(server.url)
         client.run_query(SESSION, QUERY, limit=limit)  # warm

@@ -466,31 +466,18 @@ class Workbench:
             "stats",
             lambda: corpus_summary(self._corpus(corpus)))
 
-    def serve(self, host: str = "127.0.0.1", port: int = 0,
-              backend: str = "asyncio"):
+    def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Expose this workbench over HTTP (non-blocking).
 
-        Starts an embedded server over the binding's registry, so the
+        Starts an embedded :class:`~repro.service.aserver
+        .AsyncServiceServer` over the binding's registry, so the
         corpus is addressable as session :data:`LOCAL_SESSION`.
-        ``backend`` picks the front-end: ``"asyncio"`` (the default
-        :class:`~repro.service.aserver.AsyncServiceServer`) or
-        ``"threading"`` (the legacy :class:`~repro.service.server
-        .ServiceServer`) — both answer byte-identically.  Returns the
-        started server; call ``.stop()`` when done.
+        Returns the started server; call ``.stop()`` when done.
         """
-        if backend == "asyncio":
-            from repro.service.aserver import AsyncServiceServer
+        from repro.service.aserver import AsyncServiceServer
 
-            return AsyncServiceServer(self.binding.registry,
-                                      host=host, port=port).start()
-        if backend == "threading":
-            from repro.service.server import ServiceServer
-
-            return ServiceServer(self.binding.registry, host=host,
-                                 port=port).start()
-        raise ValueError(
-            "unknown serve backend {!r} (expected 'asyncio' or "
-            "'threading')".format(backend))
+        return AsyncServiceServer(self.binding.registry,
+                                  host=host, port=port).start()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

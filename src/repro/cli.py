@@ -526,22 +526,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Bind first: a port conflict must fail fast, not after
         # minutes of corpus building.
         try:
-            if args.legacy_server:
-                from repro.service.server import ServiceServer
+            from repro.service.aserver import AsyncServiceServer
 
-                server = ServiceServer(
-                    engine, host=args.host, port=args.port,
-                    verbose=args.verbose,
-                    response_cache=not args.no_response_cache)
-            else:
-                from repro.service.aserver import AsyncServiceServer
-
-                server = AsyncServiceServer(
-                    engine, host=args.host, port=args.port,
-                    verbose=args.verbose,
-                    sync_workers=args.sync_workers,
-                    max_inflight=args.max_inflight,
-                    response_cache=not args.no_response_cache)
+            server = AsyncServiceServer(
+                engine, host=args.host, port=args.port,
+                verbose=args.verbose,
+                sync_workers=args.sync_workers,
+                max_inflight=args.max_inflight,
+                response_cache=not args.no_response_cache)
         except OSError as error:
             print("error: cannot bind {}:{}: {}".format(
                 args.host, args.port, error), file=sys.stderr)
@@ -1225,9 +1217,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "auto-checkpoint (repro.persist)")
     serve.add_argument("--verbose", action="store_true",
                        help="log each request line")
-    serve.add_argument("--legacy-server", action="store_true",
-                       help="use the threaded http.server front-end "
-                            "instead of the asyncio one")
     serve.add_argument("--sync-workers", type=int, default=4,
                        metavar="N",
                        help="executor threads bridging the asyncio "

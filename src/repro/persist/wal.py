@@ -1,14 +1,22 @@
-"""The append-only write-ahead log.
+"""The append-only record log behind every durable write.
 
-One log = one file of JSON lines, each line a *record*::
+One log = one file of JSON lines, each line a *record*: a JSON body
+plus its sequence number and a checksum over both::
 
-    {"crc": "<sha256[:16] of the payload>", "docs": [...], "seq": N}
+    {**body, "crc": "<sha256[:16] of {**body, "seq": N}>", "seq": N}
 
-where ``docs`` are :meth:`SemanticTrajectory.to_dict
-<repro.core.trajectory.SemanticTrajectory.to_dict>` payloads and
+(keys sorted, canonical JSON).  Two record kinds share the format and
+all of the machinery below:
+
+* :class:`WriteAheadLog` — a session's trajectory batches, bodies
+  ``{"docs": [...]}`` of :meth:`SemanticTrajectory.to_dict
+  <repro.core.trajectory.SemanticTrajectory.to_dict>` payloads;
+* :class:`~repro.stream.manager.EventJournal` — a live stream's
+  event batches, bodies ``{"events": [...], "watermark": W}``.
+
 ``seq`` increases strictly monotonically across the log's whole
-lifetime — it never restarts, even across :meth:`reset` — so a
-snapshot can record the highest sequence it folded in (its
+lifetime — it never restarts, even across :meth:`RecordLog.reset` —
+so a snapshot can record the highest sequence it folded in (its
 ``wal_seq`` watermark) and recovery replays exactly the records past
 it, regardless of crashes between "snapshot written" and "log
 truncated".
@@ -19,26 +27,27 @@ Durability and crash tolerance:
   (by default) fsynced — an acknowledged append survives a process
   kill.
 * A torn final write (partial line, bad JSON, checksum mismatch,
-  non-monotonic sequence) marks the *end* of the valid log: replay
-  stops there, and the next ``append`` truncates the garbage tail
-  first.  Every valid prefix of a log is itself a valid log, which is
-  what the crash-recovery property tests exercise.
+  non-monotonic sequence, a body without its list field) marks the
+  *end* of the valid log: replay stops there, and the next append
+  truncates the garbage tail first.  Every valid prefix of a log is
+  itself a valid log, which is what the crash-recovery property tests
+  exercise.
 
 Group commit
 ------------
 
-``append`` is thread-safe, and concurrent appenders **share**
-fsyncs rather than queueing behind them: each appender encodes its
-record under the sequencing mutex, enqueues the line, and blocks on
-the commit barrier; whichever thread finds no flush in progress
-becomes the *leader*, writes every queued line in one ``write`` and
-one ``fsync``, then wakes the group.  An appender's ack still means
-"this exact record is on stable storage" — durability semantics are
+Appends are thread-safe, and concurrent appenders **share** fsyncs
+rather than queueing behind them: each appender encodes its record
+under the sequencing mutex, enqueues the line, and blocks on the
+commit barrier; whichever thread finds no flush in progress becomes
+the *leader*, writes every queued line in one ``write`` and one
+``fsync``, then wakes the group.  An appender's ack still means "this
+exact record is on stable storage" — durability semantics are
 unchanged — but under N concurrent writers the per-record fsync cost
-drops toward 1/N (:attr:`group_flushes` vs :attr:`appends` shows the
-achieved coalescing).  A failed flush fails exactly the appenders
-whose lines were in that group; later appends retry on a reopened,
-truncated-to-valid sink.
+drops toward 1/N (:attr:`RecordLog.group_flushes` vs
+:attr:`RecordLog.appends` shows the achieved coalescing).  A failed
+flush fails exactly the appenders whose lines were in that group;
+later appends retry on a reopened, truncated-to-valid sink.
 """
 
 from __future__ import annotations
@@ -54,13 +63,24 @@ from repro.persist.format import PersistError
 from repro.service.protocol import canonical_json
 
 
-def _payload_crc(docs: List[dict], seq: int) -> str:
-    raw = canonical_json({"docs": docs, "seq": seq})
+def record_crc(body: dict, seq: int) -> str:
+    """The checksum of one record: over its body plus ``seq``."""
+    raw = canonical_json({**body, "seq": seq})
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-class WriteAheadLog:
-    """An append-only trajectory log with checksummed records.
+def record_line(body: dict, seq: int) -> bytes:
+    """The exact bytes one record occupies in a log file."""
+    return canonical_json({**body, "crc": record_crc(body, seq),
+                           "seq": seq}) + b"\n"
+
+
+class RecordLog:
+    """An append-only log of checksummed JSON records.
+
+    The record kinds subclass it: each names the body field that must
+    hold a list (:attr:`list_field`) and wraps :meth:`append_record`
+    and :meth:`bodies` in its own typed ``append``/``records``.
 
     Args:
         path: the log file (created on first append).
@@ -72,6 +92,9 @@ class WriteAheadLog:
             sequences stay monotonic even when the log file itself
             was truncated away.
     """
+
+    #: Body field every valid record carries as a JSON list.
+    list_field = ""
 
     def __init__(self, path: str, fsync: bool = True,
                  start_seq: int = 1) -> None:
@@ -110,8 +133,8 @@ class WriteAheadLog:
             valid = end
         return last_seq, valid
 
-    def _iter_raw(self) -> Iterator[Tuple[int, List[dict], int]]:
-        """Yield ``(seq, docs, end_offset)`` per valid record.
+    def _iter_raw(self) -> Iterator[Tuple[int, dict, int]]:
+        """Yield ``(seq, body, end_offset)`` per valid record.
 
         Stops silently at the first torn/corrupt/non-monotonic
         record — the crash-recovery contract — so a truncated tail
@@ -129,55 +152,30 @@ class WriteAheadLog:
                 if not line.endswith(b"\n"):
                     return  # torn final write
                 try:
-                    record = json.loads(line.decode("utf-8"))
+                    body = json.loads(line.decode("utf-8"))
                 except (UnicodeDecodeError, ValueError):
                     return
-                if not isinstance(record, dict):
+                if not isinstance(body, dict):
                     return
-                seq = record.get("seq")
-                docs = record.get("docs")
+                seq = body.pop("seq", None)
+                crc = body.pop("crc", None)
                 if not isinstance(seq, int) \
-                        or not isinstance(docs, list) \
+                        or not isinstance(body.get(self.list_field),
+                                          list) \
                         or seq <= last_seq:
                     return
-                if record.get("crc") != _payload_crc(docs, seq):
+                if crc != record_crc(body, seq):
                     return
-                yield seq, docs, end
+                yield seq, body, end
                 last_seq = seq
                 offset = end
 
-    def records(self, after_seq: int = 0
-                ) -> Iterator[Tuple[int, List[SemanticTrajectory]]]:
-        """Valid records with ``seq > after_seq``, oldest first.
-
-        Raises:
-            PersistError: when a *checksum-valid* record fails to
-                decode into trajectories (a format bug, not a torn
-                write — this must not be silently skipped).
-        """
-        for seq, docs, _ in self._iter_raw():
-            if seq <= after_seq:
-                continue
-            try:
-                yield seq, [SemanticTrajectory.from_dict(doc)
-                            for doc in docs]
-            except (KeyError, TypeError, ValueError) as error:
-                raise PersistError(
-                    "undecodable log record seq={}: {}".format(
-                        seq, error))
-
-    def replay_into(self, store, after_seq: int = 0) -> int:
-        """Apply every record past ``after_seq`` to ``store``.
-
-        The store must *not* have this log attached while replaying
-        (it would re-log its own recovery).  Returns the highest
-        sequence applied (``after_seq`` when none were).
-        """
-        last = after_seq
-        for seq, batch in self.records(after_seq):
-            store.extend(batch)
-            last = seq
-        return last
+    def bodies(self, after_seq: int = 0) -> Iterator[Tuple[int, dict]]:
+        """``(seq, body)`` of every valid record past ``after_seq``,
+        oldest first."""
+        for seq, body, _ in self._iter_raw():
+            if seq > after_seq:
+                yield seq, body
 
     @property
     def last_seq(self) -> int:
@@ -208,11 +206,9 @@ class WriteAheadLog:
             self._sink = sink
         return self._sink
 
-    def append(self, trajectories: Sequence[SemanticTrajectory]
-               ) -> int:
-        """Durably append one batch; returns its sequence number.
+    def append_record(self, body: dict) -> int:
+        """Durably append one record; returns its sequence number.
 
-        Empty batches are not logged (returns :attr:`last_seq`).
         Thread-safe: concurrent appenders are group-committed (one
         ``write`` + one ``fsync`` per group — see the module notes);
         the return still means the record is on stable storage.
@@ -220,22 +216,13 @@ class WriteAheadLog:
         Raises:
             PersistError: when the flush carrying this record fails.
         """
-        batch = list(trajectories)
-        if not batch:
-            with self._commit:
-                return self._next_seq - 1
-        # The expensive, sequence-independent half of encoding stays
-        # outside the mutex.
-        docs = [trajectory.to_dict() for trajectory in batch]
         with self._commit:
             seq = self._next_seq
             self._next_seq = seq + 1
             # Encoded under the mutex: lines must enter the queue in
             # sequence order, or a flush could persist a gap-free
             # file whose sequences run backwards (replay would stop).
-            line = canonical_json({"crc": _payload_crc(docs, seq),
-                                   "docs": docs, "seq": seq}) + b"\n"
-            self._pending.append(line)
+            self._pending.append(record_line(body, seq))
             self._pending_last_seq = seq
             while True:
                 if self._committed_seq >= seq:
@@ -332,12 +319,65 @@ class WriteAheadLog:
             self._sink.close()
             self._sink = None
 
-    def __enter__(self) -> "WriteAheadLog":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
     def __repr__(self) -> str:
-        return "WriteAheadLog({!r}, next_seq={})".format(
-            self.path, self._next_seq)
+        return "{}({!r}, next_seq={})".format(
+            type(self).__name__, self.path, self._next_seq)
+
+
+class WriteAheadLog(RecordLog):
+    """A session's trajectory log: records ``{"docs": [...]}``."""
+
+    list_field = "docs"
+
+    def append(self, trajectories: Sequence[SemanticTrajectory]
+               ) -> int:
+        """Durably append one batch; returns its sequence number.
+
+        Empty batches are not logged (returns :attr:`last_seq`).
+
+        Raises:
+            PersistError: when the flush carrying this record fails.
+        """
+        batch = list(trajectories)
+        if not batch:
+            return self.last_seq
+        # The expensive half of encoding stays outside the log mutex.
+        return self.append_record(
+            {"docs": [trajectory.to_dict() for trajectory in batch]})
+
+    def records(self, after_seq: int = 0
+                ) -> Iterator[Tuple[int, List[SemanticTrajectory]]]:
+        """Valid records with ``seq > after_seq``, oldest first.
+
+        Raises:
+            PersistError: when a *checksum-valid* record fails to
+                decode into trajectories (a format bug, not a torn
+                write — this must not be silently skipped).
+        """
+        for seq, body in self.bodies(after_seq):
+            try:
+                yield seq, [SemanticTrajectory.from_dict(doc)
+                            for doc in body["docs"]]
+            except (KeyError, TypeError, ValueError) as error:
+                raise PersistError(
+                    "undecodable log record seq={}: {}".format(
+                        seq, error))
+
+    def replay_into(self, store, after_seq: int = 0) -> int:
+        """Apply every record past ``after_seq`` to ``store``.
+
+        The store must *not* have this log attached while replaying
+        (it would re-log its own recovery).  Returns the highest
+        sequence applied (``after_seq`` when none were).
+        """
+        last = after_seq
+        for seq, batch in self.records(after_seq):
+            store.extend(batch)
+            last = seq
+        return last

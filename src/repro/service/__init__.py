@@ -3,7 +3,7 @@
 Everything PR 1–3 made fast and composable — the streaming pipeline
 engine, the cost-based planned queries, the mining layer — is exposed
 here as a *service*: named multi-dataset sessions, a typed JSON wire
-protocol, and an embedded threaded HTTP server, all on the standard
+protocol, and one embedded asyncio HTTP server, all on the standard
 library only.
 
 * :mod:`repro.service.protocol` — dataclass commands and responses
@@ -20,17 +20,15 @@ library only.
   command; :class:`LocalBinding` runs it in-process (this is what
   :class:`~repro.api.Workbench` is sugar over), the server runs the
   same functions behind HTTP;
-* :mod:`repro.service.wire` — the shared bytes-in/bytes-out request
-  path (:func:`~repro.service.wire.execute_json`) plus the versioned
-  :class:`~repro.service.wire.ResponseCache`, which is what keeps
-  every front-end byte-identical;
-* :mod:`repro.service.aserver` — the asyncio front-end
+* :mod:`repro.service.wire` — the bytes-in/bytes-out request path
+  (:func:`~repro.service.wire.execute_json`) plus the versioned
+  :class:`~repro.service.wire.ResponseCache`;
+* :mod:`repro.service.aserver` — the HTTP front-end
   (:class:`AsyncServiceServer`): keep-alive + pipelined HTTP/1.1 on
   one event loop bridging into a bounded worker pool, with 503
-  load-shedding when saturated — the default server;
-* :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  legacy threaded ``http.server`` endpoint and the thin persistent
-  keep-alive client.
+  load-shedding when saturated;
+* :mod:`repro.service.client` — the thin persistent keep-alive
+  client.
 
 See ``docs/service.md`` for the protocol reference and curl examples.
 """
@@ -51,7 +49,6 @@ from repro.service.protocol import (
     response_from_json,
 )
 from repro.service.registry import BuildJob, JobState, Session, SessionRegistry
-from repro.service.server import ServiceServer
 from repro.service.wire import ResponseCache, execute_json
 
 __all__ = [
@@ -68,7 +65,6 @@ __all__ = [
     "LocalBinding",
     "execute_command",
     "execute_command_safely",
-    "ServiceServer",
     "AsyncServiceServer",
     "ResponseCache",
     "execute_json",

@@ -1,10 +1,15 @@
-"""The asyncio trajectory server: the default HTTP front-end.
+"""The asyncio trajectory server: the service's HTTP front-end.
 
-The threaded server (:mod:`repro.service.server`) spends most of a
-request's wall clock outside the actual work: a TCP handshake and a
-fresh handler thread per connection, a line-buffered header parse,
-and one ``write``/``read`` syscall pair per phase.  This front-end
-replaces all of that with a single-threaded asyncio event loop:
+Endpoints::
+
+    POST /v1/call     body = one command object   → response object
+    GET  /v1/health   liveness + session roster   → plain JSON
+    GET  /v1/ready    readiness (drain signal)    → 200/503 JSON
+
+Error responses carry an ``Error`` protocol object and a matching
+HTTP status (400 for bad requests, 404 for unknown sessions/jobs,
+500 for internal failures, 503/504 when shedding load).  One
+single-threaded asyncio event loop serves every connection:
 
 * **keep-alive first** — connections are long-lived; a request costs
   a buffered parse, not a handshake plus a thread;
@@ -13,32 +18,32 @@ replaces all of that with a single-threaded asyncio event loop:
   streams the responses out strictly in order, so a client may have
   many requests in flight on one socket and back-to-back requests
   are parsed out of a single ``recv``;
-* **a bounded sync bridge** — command execution stays the exact
+* **a bounded sync bridge** — command execution stays the
   synchronous :func:`~repro.service.wire.execute_json` path (byte
-  identity with the threaded server and
-  :class:`~repro.service.executor.LocalBinding` is by construction),
-  run on a bounded ``ThreadPoolExecutor`` so slow commands (mining, a
-  cold build) never stall the loop;
+  identity with :class:`~repro.service.executor.LocalBinding` is by
+  construction), run on a bounded ``ThreadPoolExecutor`` so slow
+  commands (mining, a cold build) never stall the loop;
 * **back-pressure, not collapse** — at most ``max_inflight``
   requests may be executing or queued for the bridge; past that the
   server answers ``503`` with a ``Retry-After`` hint instead of
   growing an unbounded backlog (the counters are visible in
   ``GET /v1/health``);
-* **response cache on the loop** — hits on the versioned
-  :class:`~repro.service.wire.ResponseCache` are answered inline
-  without touching the bridge at all;
+* **response cache on the loop** — every body is looked up in the
+  versioned :class:`~repro.service.wire.ResponseCache` once, on the
+  loop: hits are answered inline without touching the bridge, misses
+  execute there and insert their reply;
 * **graceful drain** — ``stop()`` stops accepting, lets in-flight
   requests finish (bounded by ``drain_timeout``), flushes their
   responses, then closes the remaining connections.
 
-Usage mirrors :class:`~repro.service.server.ServiceServer`::
+Usage::
 
     server = AsyncServiceServer(registry, port=0).start()
     print(server.url)
     ...
     server.stop()
 
-or from the command line: ``repro serve`` (the default backend).
+or from the command line: ``repro serve``.
 """
 
 from __future__ import annotations
@@ -419,13 +424,8 @@ class AsyncServiceServer:
 
     def _execute(self, body: bytes) -> Tuple[int, bytes]:
         """Bridge-thread execution of a body the loop already missed
-        in the cache (so the cache is not asked again).  Without a
-        cache the call keeps :func:`execute_json`'s two-argument form,
-        the one its stand-ins in tests accept."""
-        if self.cache is None:
-            return execute_json(self.registry, body)
-        return execute_json(self.registry, body, self.cache,
-                            looked_up=True)
+        in the cache."""
+        return execute_json(self.registry, body, self.cache)
 
     def _execute_deadlined(self, body: bytes,
                            enqueued_at: float) -> Tuple[int, bytes]:

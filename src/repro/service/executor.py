@@ -4,7 +4,8 @@
 to a :class:`~repro.service.protocol.Response` against a
 :class:`~repro.service.registry.SessionRegistry`.  It is the *single*
 code path behind both transports: the HTTP server
-(:mod:`repro.service.server`) calls it per request, and
+(:mod:`repro.service.aserver`, through
+:func:`~repro.service.wire.execute_json`) calls it per request, and
 :class:`LocalBinding` calls it in-process — which is what
 :class:`~repro.api.Workbench` delegates its protocol-expressible
 operations to.  Anything this module computes is therefore guaranteed
@@ -698,8 +699,8 @@ def execute_command(registry: SessionRegistry,
 
     Unexpected exceptions (genuine bugs) propagate with their
     traceback intact — the in-process library path must not swallow
-    them.  The transport boundary (:meth:`ServiceServer`'s handler,
-    :meth:`LocalBinding.call_json`) converts them to ``internal``
+    them.  The transport boundary (:func:`~repro.service.wire
+    .execute_json`, :meth:`LocalBinding.call_json`) converts them to ``internal``
     errors, because a wire server must answer, not crash.
     """
     handler = _HANDLERS.get(type(command))

@@ -1,23 +1,25 @@
-"""The wire boundary shared by every HTTP front-end.
+"""The wire boundary of the HTTP front-end.
 
 :func:`execute_json` is the one bytes-in/``(status, bytes)``-out
 implementation of ``POST /v1/call``: parse the body as a protocol
 command, execute it through :func:`~repro.service.executor
-.execute_command_safely`, map the error code to an HTTP status, and
-serialize the response to canonical JSON.  The threaded server
-(:mod:`repro.service.server`), the asyncio server
-(:mod:`repro.service.aserver`) and :meth:`LocalBinding.call_json
-<repro.service.executor.LocalBinding.call_json>` all call it, which
-is what keeps the three transports byte-identical by construction.
+.run_command_safely`, map the error code to an HTTP status, and
+serialize the response to canonical JSON.  The asyncio server
+(:mod:`repro.service.aserver`) calls it per request; it serializes
+exactly as :meth:`LocalBinding.call_json
+<repro.service.executor.LocalBinding.call_json>` does, which keeps
+the socket and in-process transports byte-identical.
 
-It optionally consults a :class:`ResponseCache`: a bounded LRU of
-full response payloads for *read* commands, keyed on the raw request
-bytes and stamped with the target store's ``(serial, version)``
-identity (:attr:`~repro.storage.store.TrajectoryStore.version`).
-Because the store is insert-only and bumps its version on every
-write, a stamp match proves the cached bytes are exactly what
-re-executing the command would produce — the cache can never serve a
-stale page, only skip redundant work.  On this service's hot path
+Read responses may be kept in a :class:`ResponseCache`: a bounded LRU
+of full response payloads for *read* commands, keyed on the raw
+request bytes and stamped with the target store's ``(serial,
+version)`` identity (:attr:`~repro.storage.store.TrajectoryStore
+.version`).  Because the store is insert-only and bumps its version
+on every write, a stamp match proves the cached bytes are exactly
+what re-executing the command would produce — the cache can never
+serve a stale page, only skip redundant work.  The front-end looks a
+body up (:meth:`ResponseCache.get`) before it executes anything;
+:func:`execute_json` only inserts.  On this service's hot path
 (repeated dashboard/pagination queries against a corpus that changes
 far less often than it is read) a hit turns ~1 ms of plan + execute +
 serialize into a dictionary lookup.
@@ -181,24 +183,18 @@ class ResponseCache:
 
 
 def execute_json(registry: SessionRegistry, raw: bytes,
-                 cache: Optional[ResponseCache] = None, *,
-                 looked_up: bool = False) -> Tuple[int, bytes]:
+                 cache: Optional[ResponseCache] = None
+                 ) -> Tuple[int, bytes]:
     """One ``POST /v1/call`` body → ``(HTTP status, response bytes)``.
 
     Exactly the server semantics: protocol failures come back as a
     400 ``ErrorInfo``, expected command failures with their mapped
     status, unexpected exceptions as a 500 ``internal`` — the
-    function never raises.  With a ``cache``, read commands are
-    served from (and inserted into) it under the versioned-stamp
-    rules above; error responses are never cached.  ``looked_up``
-    says the caller already missed ``raw`` in the cache: the body is
-    executed and inserted without a second lookup, so every request
-    counts in the cache's statistics once.
+    function never raises.  The body is always executed: the caller
+    has already missed it in ``cache`` (when it has one), and a
+    successful read response is inserted there under the
+    versioned-stamp rules above; error responses are never cached.
     """
-    if cache is not None and not looked_up:
-        held = cache.get(registry, raw)
-        if held is not None:
-            return held
     try:
         command = P.command_from_json(raw)
     except P.ProtocolError as error:
@@ -237,11 +233,11 @@ def wal_report(wal) -> Dict:
 
 def health_payload(registry: SessionRegistry,
                    load: Optional[Dict] = None) -> Dict:
-    """The ``GET /v1/health`` document both servers serve.
+    """The ``GET /v1/health`` document.
 
     ``load`` is the front-end's saturation report (in-flight count,
     queue depth, rejection counter, cache stats) — keyed in only when
-    given so the threaded and asyncio servers stay shape-compatible.
+    given.
     Durable sessions additionally report their WAL group-commit
     counters, and a shard coordinator engine contributes a per-shard
     fan-out/saturation section under ``"shards"``.

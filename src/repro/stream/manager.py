@@ -8,7 +8,7 @@ the ``OpenStream`` / ``AppendEvents`` / ``StreamStatus`` /
 **event journal** under the session's durable directory::
 
     <session dir>/streams/<stream>/
-      events.log          appended event batches (WAL discipline)
+      events.log          appended event batches (WAL records)
       stream-state.json   segmenter snapshot + journal watermark
 
 **Durability contract.**  ``AppendEvents`` acks only after the batch
@@ -34,15 +34,15 @@ only thing that drains open episodes is a *later* append or watermark.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
-from typing import IO, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.builder import TrajectoryBuilder
 from repro.core.trajectory import SemanticTrajectory
 from repro.persist.format import PersistError
+from repro.persist.wal import RecordLog
 from repro.service.protocol import canonical_json
 from repro.stream.segmenter import (
     NO_WATERMARK,
@@ -67,95 +67,18 @@ class StreamOverloadedError(RuntimeError):
     """An append was rejected to bound open-episode memory."""
 
 
-def _journal_crc(events: List[dict], seq: int,
-                 watermark: Optional[float]) -> str:
-    raw = canonical_json({"events": events, "seq": seq,
-                          "watermark": watermark})
-    return hashlib.sha256(raw).hexdigest()[:16]
-
-
-class EventJournal:
-    """Append-only event-batch log with the WAL's crash discipline.
-
-    One JSON line per acked append::
+class EventJournal(RecordLog):
+    """A stream's event-batch log: the session WAL's record log with
+    ``{"events": [...], "watermark": W}`` bodies, one per acked
+    append::
 
         {"crc": "...", "events": [...], "seq": N, "watermark": W}
 
-    Sequences increase strictly; a torn/corrupt/non-monotonic tail
-    marks the end of the valid log (replay stops, the next append
-    truncates it).  Single-writer by construction — the owning
-    stream's lock serializes appends — so no group commit here.
+    Sequencing, group commit, torn-tail truncation and reset are the
+    shared :class:`~repro.persist.wal.RecordLog`'s.
     """
 
-    def __init__(self, path: str, fsync: bool = True,
-                 start_seq: int = 1) -> None:
-        self.path = path
-        self.fsync = fsync
-        self._sink: Optional[IO[bytes]] = None
-        last_seq = 0
-        valid = 0
-        for seq, _, _, end in self._iter_raw():
-            last_seq = seq
-            valid = end
-        self._next_seq = max(int(start_seq), last_seq + 1)
-        self._valid_bytes = valid
-
-    def _iter_raw(self) -> Iterator[
-            Tuple[int, List[dict], Optional[float], int]]:
-        try:
-            source = open(self.path, "rb")
-        except FileNotFoundError:
-            return
-        with source:
-            offset = 0
-            last_seq = 0
-            for line in source:
-                end = offset + len(line)
-                if not line.endswith(b"\n"):
-                    return  # torn final write
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, ValueError):
-                    return
-                if not isinstance(record, dict):
-                    return
-                seq = record.get("seq")
-                events = record.get("events")
-                watermark = record.get("watermark")
-                if not isinstance(seq, int) \
-                        or not isinstance(events, list) \
-                        or seq <= last_seq:
-                    return
-                if record.get("crc") != _journal_crc(events, seq,
-                                                     watermark):
-                    return
-                yield seq, events, watermark, end
-                last_seq = seq
-                offset = end
-
-    def records(self, after_seq: int = 0) -> Iterator[
-            Tuple[int, List[dict], Optional[float]]]:
-        """Valid records with ``seq > after_seq``, oldest first."""
-        for seq, events, watermark, _ in self._iter_raw():
-            if seq > after_seq:
-                yield seq, events, watermark
-
-    @property
-    def last_seq(self) -> int:
-        """Highest sequence allocated so far (0 when none)."""
-        return self._next_seq - 1
-
-    def _open_sink(self) -> IO[bytes]:
-        if self._sink is None:
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            sink = open(self.path, "ab")
-            if sink.tell() > self._valid_bytes:
-                sink.truncate(self._valid_bytes)
-                sink.seek(self._valid_bytes)
-            self._sink = sink
-        return self._sink
+    list_field = "events"
 
     def append(self, events: List[dict],
                watermark: Optional[float]) -> int:
@@ -166,44 +89,14 @@ class EventJournal:
                 then *not* acked; the reopened sink truncates any torn
                 bytes first).
         """
-        seq = self._next_seq
-        line = canonical_json({
-            "crc": _journal_crc(events, seq, watermark),
-            "events": events, "seq": seq, "watermark": watermark,
-        }) + b"\n"
-        try:
-            sink = self._open_sink()
-            sink.write(line)
-            sink.flush()
-            if self.fsync:
-                os.fsync(sink.fileno())
-        except OSError as error:
-            self.close()
-            raise PersistError("cannot append to journal {}: {}"
-                               .format(self.path, error))
-        self._next_seq = seq + 1
-        self._valid_bytes += len(line)
-        return seq
+        return self.append_record({"events": events,
+                                   "watermark": watermark})
 
-    def reset(self, next_seq: Optional[int] = None) -> None:
-        """Truncate after a checkpoint; sequences keep climbing."""
-        self.close()
-        try:
-            with open(self.path, "wb"):
-                pass
-        except FileNotFoundError:
-            pass
-        except OSError as error:
-            raise PersistError("cannot reset journal {}: {}"
-                               .format(self.path, error))
-        self._valid_bytes = 0
-        if next_seq is not None:
-            self._next_seq = max(self._next_seq, int(next_seq))
-
-    def close(self) -> None:
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
+    def records(self, after_seq: int = 0) -> Iterator[
+            Tuple[int, List[dict], Optional[float]]]:
+        """Valid records with ``seq > after_seq``, oldest first."""
+        for seq, body in self.bodies(after_seq):
+            yield seq, body["events"], body.get("watermark")
 
 
 class ServerStream:
@@ -537,8 +430,12 @@ class StreamManager:
             session.workbench.space = space
         return TrajectoryBuilder(space.dataset_zone_nrg())
 
-    def _fsync(self) -> bool:
-        return bool(getattr(self.registry, "_fsync", True))
+    @staticmethod
+    def _fsync(session) -> bool:
+        """The fsync setting of the durable session whose directory
+        holds the stream's sidecar (unused for memory-only ones)."""
+        return session.durable.fsync if session.durable is not None \
+            else True
 
     # -- the protocol surface -------------------------------------------
     def open(self, session_name: str, stream: str,
@@ -567,7 +464,7 @@ class StreamManager:
             server_stream = ServerStream(
                 self.registry, session_name, stream, segmenter,
                 self._directory_for(session, stream),
-                fsync=self._fsync(),
+                fsync=self._fsync(session),
                 checkpoint_every=checkpoint_every,
                 max_open_events=max_open_events,
                 relay=relay)
@@ -630,7 +527,7 @@ class StreamManager:
         segmenter = WatermarkSegmenter(self._builder_for(session))
         server_stream = ServerStream(
             self.registry, session.name, stream, segmenter,
-            directory, fsync=self._fsync(), relay=relay)
+            directory, fsync=self._fsync(session), relay=relay)
         server_stream.recover()
         self._streams[(session.name, stream)] = server_stream
         return server_stream

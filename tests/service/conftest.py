@@ -1,11 +1,10 @@
 """Shared service fixtures.
 
-The ``service`` fixture is parameterized over both HTTP front-ends —
-the legacy threaded :class:`ServiceServer` and the asyncio
-:class:`AsyncServiceServer` — so every end-to-end test in this
-package (lifecycle, pagination, byte-identity, error mapping) runs
-against each of them.  A front-end is only a transport: the whole
-suite passing unchanged under both *is* the byte-identity guarantee.
+The ``service`` fixture serves one built session over the asyncio
+:class:`AsyncServiceServer`, so every end-to-end test in this package
+(lifecycle, pagination, byte-identity, error mapping) runs over a real
+socket.  Its single ``asyncio`` parameter keeps the test ids naming
+the front-end they exercise.
 """
 
 import pytest
@@ -13,26 +12,23 @@ import pytest
 from repro.service.aserver import AsyncServiceServer
 from repro.service.client import ServiceClient
 from repro.service.registry import SessionRegistry
-from repro.service.server import ServiceServer
 
-#: The session every e2e test queries (built once per front-end).
+#: The session every e2e test queries (built once per module).
 SESSION = "louvre@0.02"
 
 
-def make_server(backend, registry, **kwargs):
-    """One stopped server of the requested front-end flavor."""
-    if backend == "asyncio":
-        return AsyncServiceServer(registry, port=0, **kwargs)
-    return ServiceServer(registry, port=0, **kwargs)
+def make_server(registry, **kwargs):
+    """One stopped server on an ephemeral port."""
+    return AsyncServiceServer(registry, port=0, **kwargs)
 
 
-@pytest.fixture(scope="module", params=["threading", "asyncio"])
+@pytest.fixture(scope="module", params=["asyncio"])
 def service(request):
     """``(server, client, registry)`` with one built session,
-    module-scoped, once per front-end."""
+    module-scoped."""
     registry = SessionRegistry()
     registry.build(SESSION, scale=0.02, wait=True)
-    server = make_server(request.param, registry)
+    server = make_server(registry)
     server.start()
     client = ServiceClient(server.url)
     try:

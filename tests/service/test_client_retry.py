@@ -16,9 +16,9 @@ import threading
 import pytest
 
 from repro.service import protocol as P
+from repro.service.aserver import AsyncServiceServer
 from repro.service.client import ServiceClient, _is_retryable
 from repro.service.registry import SessionRegistry
-from repro.service.server import ServiceServer
 
 SESSION = "retry"
 
@@ -27,7 +27,7 @@ SESSION = "retry"
 def backend():
     registry = SessionRegistry()
     registry.build(SESSION, scale=0.01, wait=True)
-    server = ServiceServer(registry, port=0).start()
+    server = AsyncServiceServer(registry, port=0).start()
     try:
         yield server
     finally:

@@ -13,10 +13,10 @@ import os
 import pytest
 
 from repro.service import protocol as P
+from repro.service.aserver import AsyncServiceServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.executor import LocalBinding
 from repro.service.registry import SessionRegistry
-from repro.service.server import ServiceServer
 
 SESSION = "louvre@persist"
 QUERY = {"expr": {"op": "annotation", "kind": "goal",
@@ -35,7 +35,7 @@ def first_run(persist_dir):
     Yields the wire bytes captured before the shutdown.
     """
     registry = SessionRegistry(persist_dir=persist_dir)
-    server = ServiceServer(registry, port=0).start()
+    server = AsyncServiceServer(registry, port=0).start()
     client = ServiceClient(server.url)
     info = client.build(SESSION, scale=0.02, wait=True)
     assert info.state == "done"
@@ -55,7 +55,7 @@ class TestRestartByteIdentity:
     @pytest.fixture(scope="class")
     def second_run(self, persist_dir, first_run):
         registry = SessionRegistry(persist_dir=persist_dir)
-        server = ServiceServer(registry, port=0).start()
+        server = AsyncServiceServer(registry, port=0).start()
         try:
             yield server, ServiceClient(server.url), registry
         finally:
@@ -214,7 +214,7 @@ class TestPersistenceErrors:
     def test_persistence_error_is_http_500(self, tmp_path):
         registry = SessionRegistry()  # no persist_dir
         registry.build("x", scale=0.01, wait=True)
-        server = ServiceServer(registry, port=0).start()
+        server = AsyncServiceServer(registry, port=0).start()
         try:
             client = ServiceClient(server.url)
             with pytest.raises(ServiceError) as excinfo:

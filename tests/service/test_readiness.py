@@ -1,6 +1,6 @@
 """The readiness drain signal: ``GET /v1/ready`` answers 503 while
 sessions restore from disk or while the shard layer can no longer
-mask failures, and 200 otherwise — on both HTTP front-ends."""
+mask failures, and 200 otherwise."""
 
 import json
 import urllib.error
@@ -10,7 +10,6 @@ import pytest
 
 from repro.service.aserver import AsyncServiceServer
 from repro.service.registry import SessionRegistry
-from repro.service.server import ServiceServer
 from repro.service.wire import ready_payload
 
 
@@ -74,8 +73,7 @@ class TestReadyPayload:
         assert status == 200
 
 
-@pytest.mark.parametrize("server_cls",
-                         [ServiceServer, AsyncServiceServer])
+@pytest.mark.parametrize("server_cls", [AsyncServiceServer])
 class TestReadyEndpoint:
     def test_ready_then_draining(self, server_cls, tmp_path):
         registry = SessionRegistry(persist_dir=str(tmp_path),

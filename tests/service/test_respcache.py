@@ -31,25 +31,44 @@ def raw_query(session="s", **kwargs):
     return P.RunQuery(session=session, **kwargs).to_json()
 
 
+def serve(engine, raw, cache):
+    """What the front-end does with one body: look it up, and only on
+    a miss execute it (which inserts a cacheable reply)."""
+    held = cache.get(engine, raw)
+    if held is not None:
+        return held
+    return execute_json(engine, raw, cache)
+
+
 class TestHitSemantics:
     def test_second_call_is_a_hit_with_identical_bytes(self):
         registry = build_registry()
         cache = ResponseCache()
         raw = raw_query(limit=5)
-        first = execute_json(registry, raw, cache=cache)
-        second = execute_json(registry, raw, cache=cache)
+        first = serve(registry, raw, cache)
+        second = serve(registry, raw, cache)
         assert first == second
         assert cache.hits == 1
         assert len(cache) == 1
+
+    def test_execute_json_only_inserts(self):
+        """The lookup is the caller's: ``execute_json`` executes every
+        body it is given and never counts a hit or a miss."""
+        registry = build_registry()
+        cache = ResponseCache()
+        raw = raw_query(limit=5)
+        assert execute_json(registry, raw, cache) \
+            == execute_json(registry, raw, cache)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 1)
 
     def test_ingest_invalidates(self):
         registry = build_registry()
         cache = ResponseCache()
         raw = raw_query(limit=500)
-        status, before = execute_json(registry, raw, cache=cache)
+        status, before = serve(registry, raw, cache)
         assert status == 200
         registry.build("s", scale=0.01, wait=True)  # more documents
-        status, after = execute_json(registry, raw, cache=cache)
+        status, after = serve(registry, raw, cache)
         assert status == 200
         assert cache.hits == 0
         assert len(json.loads(after)["hits"]) \
@@ -59,26 +78,24 @@ class TestHitSemantics:
         registry = build_registry()
         cache = ResponseCache()
         raw = raw_query(limit=5)
-        execute_json(registry, raw, cache=cache)
+        serve(registry, raw, cache)
         registry.drop("s")
         registry.build("s", scale=0.01, wait=True)
-        execute_json(registry, raw, cache=cache)
+        serve(registry, raw, cache)
         # the rebuilt store has a different serial: never a hit
         assert cache.hits == 0
 
     def test_unknown_session_errors_are_not_cached(self):
         registry = SessionRegistry()
         cache = ResponseCache()
-        status, body = execute_json(registry, raw_query("ghost"),
-                                    cache=cache)
+        status, body = serve(registry, raw_query("ghost"), cache)
         assert status == 404
         assert len(cache) == 0
 
     def test_bad_request_errors_are_not_cached(self):
         registry = build_registry()
         cache = ResponseCache()
-        status, _ = execute_json(registry, raw_query(limit=0),
-                                 cache=cache)
+        status, _ = serve(registry, raw_query(limit=0), cache)
         assert status == 400
         assert len(cache) == 0
 
@@ -87,9 +104,7 @@ class TestHitSemantics:
         cache = ResponseCache()
         assert "ListSessions" not in CACHEABLE_KINDS
         assert "BuildDataset" not in CACHEABLE_KINDS
-        status, _ = execute_json(registry,
-                                 P.ListSessions().to_json(),
-                                 cache=cache)
+        status, _ = serve(registry, P.ListSessions().to_json(), cache)
         assert status == 200
         assert len(cache) == 0
 
@@ -101,29 +116,29 @@ class TestBounds:
         first = raw_query(limit=1)
         second = raw_query(limit=2)
         third = raw_query(limit=3)
-        execute_json(registry, first, cache=cache)
-        execute_json(registry, second, cache=cache)
-        execute_json(registry, first, cache=cache)   # refresh first
-        execute_json(registry, third, cache=cache)   # evicts second
+        serve(registry, first, cache)
+        serve(registry, second, cache)
+        serve(registry, first, cache)   # refresh first
+        serve(registry, third, cache)   # evicts second
         assert len(cache) == 2
-        execute_json(registry, first, cache=cache)
+        serve(registry, first, cache)
         assert cache.hits == 2  # first survived both evictions
-        execute_json(registry, second, cache=cache)
+        serve(registry, second, cache)
         assert cache.hits == 2  # second was the LRU victim
 
     def test_byte_bound_eviction(self):
         registry = build_registry()
         cache = ResponseCache(max_bytes=1)  # nothing fits
-        execute_json(registry, raw_query(limit=5), cache=cache)
+        serve(registry, raw_query(limit=5), cache)
         assert len(cache) == 0
 
     def test_clear_drops_entries(self):
         registry = build_registry()
         cache = ResponseCache()
-        execute_json(registry, raw_query(limit=5), cache=cache)
+        serve(registry, raw_query(limit=5), cache)
         cache.clear()
         assert len(cache) == 0
-        execute_json(registry, raw_query(limit=5), cache=cache)
+        serve(registry, raw_query(limit=5), cache)
         assert cache.hits == 0
 
     def test_stats_shape(self):
@@ -171,10 +186,10 @@ class TestSpaceGeneration:
         registry = build_registry()
         cache = ResponseCache()
         raw = raw_query(limit=5)
-        first = execute_json(registry, raw, cache=cache)
+        first = serve(registry, raw, cache)
         workbench = registry.get("s").workbench
         workbench.space = workbench.space  # same object, new epoch
-        second = execute_json(registry, raw, cache=cache)
+        second = serve(registry, raw, cache)
         assert first == second  # recomputed, not served stale
         assert cache.hits == 0
 
@@ -194,13 +209,13 @@ class TestCoordinatorStamp:
             P.IngestDocuments(session="s", docs=docs[:5]))
         cache = ResponseCache()
         raw = raw_query(limit=50)
-        first = execute_json(coordinator, raw, cache=cache)
-        again = execute_json(coordinator, raw, cache=cache)
+        first = serve(coordinator, raw, cache)
+        again = serve(coordinator, raw, cache)
         assert first == again
         assert cache.hits == 1
         coordinator.execute_command(
             P.IngestDocuments(session="s", docs=docs[5:]))
-        status, after = execute_json(coordinator, raw, cache=cache)
+        status, after = serve(coordinator, raw, cache)
         assert cache.hits == 1  # stamp changed: recomputed
         assert len(json.loads(after)["hits"]) \
             > len(json.loads(first[1])["hits"])

@@ -1,12 +1,11 @@
-"""End-to-end: the embedded servers over a real socket.
+"""End-to-end: the embedded server over a real socket.
 
 Drives the whole lifecycle — build, query with ``explain``, cursor
 pagination, mining — through :class:`ServiceClient` against an
 ephemeral-port server, asserting the acceptance bar: pure-JSON
 payloads whose bytes are identical to the in-process
 ``Workbench``/:class:`LocalBinding` path.  The ``service`` fixture
-(``tests/service/conftest.py``) parameterizes every test here over
-both the threaded and the asyncio front-end.
+(``tests/service/conftest.py``) serves it over the asyncio front-end.
 """
 
 import json
@@ -19,10 +18,10 @@ import pytest
 from tests.service.conftest import SESSION
 
 from repro.service import protocol as P
+from repro.service.aserver import AsyncServiceServer
 from repro.service.client import ServiceError
 from repro.service.executor import LocalBinding
 from repro.service.registry import SessionRegistry
-from repro.service.server import ServiceServer
 
 QUERY = {"expr": {"op": "state", "state": "zone60853"}}
 
@@ -301,7 +300,7 @@ class TestReviewRegressions:
         assert excinfo.value.code == "bad_cursor"
 
     def test_stop_without_start_does_not_hang(self):
-        server = ServiceServer(SessionRegistry(), port=0)
+        server = AsyncServiceServer(SessionRegistry(), port=0)
         server.stop()  # must return, not deadlock
 
     def test_hit_hash_consistent_with_eq(self, service):

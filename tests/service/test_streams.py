@@ -125,14 +125,10 @@ class TestDurableStreams:
     """Restart the server process state (fresh registry over the same
     persist dir) mid-stream: zero acked-event loss, identical bytes."""
 
-    @pytest.fixture(params=["threading", "asyncio"])
-    def backend(self, request):
-        return request.param
-
-    def test_restart_midstream_loses_nothing(self, backend, tmp_path):
+    def test_restart_midstream_loses_nothing(self, tmp_path):
         persist = str(tmp_path / "data")
         registry = SessionRegistry(persist_dir=persist, fsync=False)
-        server = make_server(backend, registry).start()
+        server = make_server(registry).start()
         client = ServiceClient(server.url)
         try:
             client.open_stream("museum", "gates")
@@ -144,7 +140,7 @@ class TestDurableStreams:
             server.stop()
         # "kill -9": nothing flushed beyond what the ack promised
         registry2 = SessionRegistry(persist_dir=persist, fsync=False)
-        server2 = make_server(backend, registry2).start()
+        server2 = make_server(registry2).start()
         client2 = ServiceClient(server2.url)
         try:
             status = client2.stream_status("museum", "gates")
@@ -181,7 +177,7 @@ class TestLouvreReplayOverWire:
 
         registry = SessionRegistry(
             persist_dir=str(tmp_path / "data"), fsync=False)
-        server = make_server("asyncio", registry).start()
+        server = make_server(registry).start()
         client = ServiceClient(server.url)
         try:
             client.open_stream("replay", "gates",

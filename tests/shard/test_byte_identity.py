@@ -170,14 +170,14 @@ def test_resume_after_ingest_matches(corpus_docs):
 
 
 def test_http_frontends_serve_the_coordinator(corpus_docs):
-    """Both HTTP front-ends over a 2-shard coordinator return the
-    same bytes a front-end over a plain registry returns."""
+    """The HTTP front-end over a 2-shard coordinator returns the
+    same bytes it returns over a plain registry."""
     from repro.service.client import ServiceClient
     from repro.service.registry import SessionRegistry
     from tests.service.conftest import make_server
 
     registry = SessionRegistry()
-    reference = make_server("asyncio", registry)
+    reference = make_server(registry)
 
     coordinator = ingested_coordinator(2, corpus_docs)
     probes = [P.Summary(session=SESSION),
@@ -207,17 +207,16 @@ def test_http_frontends_serve_the_coordinator(corpus_docs):
     finally:
         reference.stop()
 
-    for backend in ("threading", "asyncio"):
-        server = make_server(backend, coordinator)
-        server.start()
-        try:
-            got = [fetch(server.url, probe) for probe in probes]
-            assert got == expected
-            health = ServiceClient(server.url).health()
-            assert len(health["shards"]) == 2
-            assert health["shards"][0]["requests"] > 0
-        finally:
-            server.stop()
+    server = make_server(coordinator)
+    server.start()
+    try:
+        got = [fetch(server.url, probe) for probe in probes]
+        assert got == expected
+        health = ServiceClient(server.url).health()
+        assert len(health["shards"]) == 2
+        assert health["shards"][0]["requests"] > 0
+    finally:
+        server.stop()
 
 
 def test_build_dataset_fans_out(corpus_docs):

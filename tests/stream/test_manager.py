@@ -1,4 +1,7 @@
-"""Durable stream manager tests: journal, checkpoint, crash recovery.
+"""Durable stream manager tests: checkpoint, crash recovery.
+
+The event journal's own log tests (torn tails, failed fsyncs, reset,
+its exact bytes) run in ``tests/persist/test_wal.py``.
 
 ``kill -9`` is simulated the same way the persistence tests do it:
 abandon the live :class:`SessionRegistry`/:class:`StreamManager` pair
@@ -18,7 +21,6 @@ from repro.core.builder import TrajectoryBuilder
 from repro.service.protocol import canonical_json
 from repro.service.registry import SessionRegistry
 from repro.stream.manager import (
-    EventJournal,
     StreamManager,
     StreamOverloadedError,
     UnknownStreamError,
@@ -168,56 +170,6 @@ class TestBackpressure:
                            {"mo_id": "x"}], watermark=None)
         assert stream.events_acked == 0
         assert stream.journal.last_seq == 0
-
-
-class TestJournal:
-    def test_append_scan_roundtrip(self, tmp_path):
-        path = str(tmp_path / "events.log")
-        journal = EventJournal(path, fsync=False)
-        journal.append([ev("a", "z", 0.0)], watermark=None)
-        journal.append([ev("a", "z", 5.0)], watermark=9.0)
-        journal.close()
-        reopened = EventJournal(path, fsync=False)
-        records = list(reopened.records())
-        assert [seq for seq, _, _ in records] == [1, 2]
-        assert records[1][2] == 9.0
-        assert reopened.last_seq == 2
-
-    def test_torn_tail_is_dropped(self, tmp_path):
-        path = str(tmp_path / "events.log")
-        journal = EventJournal(path, fsync=False)
-        journal.append([ev("a", "z", 0.0)], watermark=None)
-        journal.close()
-        with open(path, "ab") as sink:
-            sink.write(b'{"crc": "torn')  # no newline: torn write
-        reopened = EventJournal(path, fsync=False)
-        assert [seq for seq, _, _ in reopened.records()] == [1]
-        # the next append truncates the torn bytes and carries on
-        reopened.append([ev("a", "z", 5.0)], watermark=None)
-        reopened.close()
-        final = EventJournal(path, fsync=False)
-        assert [seq for seq, _, _ in final.records()] == [1, 2]
-
-    def test_corrupt_record_stops_replay(self, tmp_path):
-        path = str(tmp_path / "events.log")
-        journal = EventJournal(path, fsync=False)
-        journal.append([ev("a", "z", 0.0)], watermark=None)
-        journal.append([ev("a", "z", 5.0)], watermark=None)
-        journal.close()
-        lines = open(path, "rb").read().splitlines(keepends=True)
-        flipped = lines[0].replace(b'"seq":1', b'"seq":7')
-        with open(path, "wb") as sink:
-            sink.writelines([flipped] + lines[1:])
-        assert list(EventJournal(path, fsync=False).records()) == []
-
-    def test_reset_keeps_sequences_climbing(self, tmp_path):
-        path = str(tmp_path / "events.log")
-        journal = EventJournal(path, fsync=False)
-        journal.append([ev("a", "z", 0.0)], watermark=None)
-        journal.reset()
-        assert list(journal.records()) == []
-        assert journal.append([ev("a", "z", 5.0)],
-                              watermark=None) == 2
 
 
 class TestRecovery:

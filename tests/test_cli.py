@@ -259,11 +259,11 @@ class TestSnapshotRestore:
 class TestStreamCommands:
     @pytest.fixture()
     def server(self):
+        from repro.service.aserver import AsyncServiceServer
         from repro.service.registry import SessionRegistry
-        from repro.service.server import ServiceServer
 
         registry = SessionRegistry()
-        server = ServiceServer(registry, port=0)
+        server = AsyncServiceServer(registry, port=0)
         server.start()
         try:
             yield server
