@@ -337,10 +337,9 @@ def _timed(fn, repeats: int) -> List[float]:
 
 def _shard_metrics(engine, docs: List[Dict], repeats: int) -> Dict:
     """Ingest + read-path measurements against one engine."""
-    from repro.service.executor import run_command
 
     def call(command):
-        response = run_command(engine, command)
+        response = engine.execute_command(command)
         assert not isinstance(response, P.ErrorInfo), response
         return response
 

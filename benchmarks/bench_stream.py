@@ -39,7 +39,6 @@ from repro.louvre import (
     LouvreSpace,
 )
 from repro.service import protocol as P
-from repro.service.executor import run_command
 from repro.service.registry import SessionRegistry
 from repro.stream import WatermarkSegmenter, bounded_iter
 from repro.stream.segmenter import event_to_dict
@@ -93,8 +92,8 @@ def bench_stream_ingest(records, base: str,
 
     tracemalloc.start()
     started = time.perf_counter()
-    run_command(registry, P.OpenStream(session=session,
-                                       stream=stream))
+    registry.execute_command(P.OpenStream(session=session,
+                                          stream=stream))
     episodes = 0
     peak_open = 0
     for index, position in enumerate(
@@ -102,15 +101,15 @@ def bench_stream_ingest(records, base: str,
         schedule.wait(index)
         chunk = payloads[position:position + CHUNK]
         rest = position + CHUNK
-        ack = run_command(registry, P.AppendEvents(
+        ack = registry.execute_command(P.AppendEvents(
             session=session, stream=stream, events=chunk,
             watermark=(records[rest].t_start
                        if rest < len(records) else None)))
         assert not isinstance(ack, P.ErrorInfo), ack
         episodes += ack.episodes_closed
         peak_open = max(peak_open, ack.open_events)
-    closed = run_command(registry, P.CloseStream(session=session,
-                                                 stream=stream))
+    closed = registry.execute_command(P.CloseStream(session=session,
+                                                    stream=stream))
     seconds = time.perf_counter() - started
     _, traced_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -542,9 +542,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Serve from a background thread so liveness answers during
         # the restore; GET /v1/ready stays 503 until it finishes.
         server.start()
-        finish_restore = getattr(engine, "finish_restore", None)
-        if finish_restore is not None:
-            finish_restore()
+        engine.finish_restore()
         for name, message in engine.restore_errors.items():
             print("warning: session {!r} failed to restore: "
                   "{}".format(name, message), file=sys.stderr)
@@ -554,10 +552,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.url_file:
             _write_url_file(args.url_file, server.url)
         from repro.service import protocol as P
-        from repro.service.executor import run_command
 
         counts = {info.name: info.trajectories for info in
-                  run_command(engine, P.ListSessions()).sessions}
+                  engine.execute_command(P.ListSessions()).sessions}
         preloaded = (args.persist_dir is not None
                      and counts.get(args.session, 0))
         if preloaded:
@@ -566,7 +563,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                                args.persist_dir))
         if not args.empty and not preloaded:
             source = "csv" if args.csv else "louvre"
-            job = run_command(engine, P.BuildDataset(
+            job = engine.execute_command(P.BuildDataset(
                 session=args.session, source=source,
                 scale=args.scale, path=args.csv,
                 workers=args.workers, executor=args.executor,
@@ -584,8 +581,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 return 1
             else:
                 built = {info.name: info.trajectories for info in
-                         run_command(engine,
-                                     P.ListSessions()).sessions}
+                         engine.execute_command(
+                             P.ListSessions()).sessions}
                 print("session {!r}: {} trajectories".format(
                     args.session, built.get(args.session, 0)))
         if pool is not None:

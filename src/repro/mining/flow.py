@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.timeutil import SECONDS_PER_DAY
 from repro.mining.corpus import Corpus, iter_trajectories
@@ -93,10 +93,31 @@ def flow_balances(trajectories: Corpus) -> List[FlowBalance]:
         for source, target in zip(sequence, sequence[1:]):
             outflow[source] += 1
             inflow[target] += 1
-    balances = [FlowBalance(state, inflow[state], outflow[state],
-                            starts[state], ends[state])
-                for state in states]
-    return sorted(balances, key=lambda b: (-abs(b.imbalance), b.state))
+    return merge_flow_balances([
+        [FlowBalance(state, inflow[state], outflow[state],
+                     starts[state], ends[state])
+         for state in states]])
+
+
+def merge_flow_balances(slices: Iterable[Iterable[FlowBalance]]
+                        ) -> List[FlowBalance]:
+    """The flow balances of the union of disjoint corpus slices.
+
+    Every count is additive, so each cell's balances are summed
+    across slices; the result is sorted by |imbalance| descending,
+    ties by cell name.
+    """
+    totals: Dict[str, List[int]] = {}
+    for balances in slices:
+        for balance in balances:
+            counts = totals.setdefault(balance.state, [0, 0, 0, 0])
+            counts[0] += balance.inflow
+            counts[1] += balance.outflow
+            counts[2] += balance.started_here
+            counts[3] += balance.ended_here
+    merged = [FlowBalance(state, *counts)
+              for state, counts in totals.items()]
+    return sorted(merged, key=lambda b: (-abs(b.imbalance), b.state))
 
 
 def hourly_occupancy(trajectories: Corpus,

@@ -9,7 +9,17 @@ is the point of the model: no geometry is touched.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.mining.corpus import Corpus, as_trajectory_list, \
     iter_trajectories
@@ -104,22 +114,64 @@ def dwell_statistics(trajectories: Corpus
     return stats
 
 
-def corpus_summary(trajectories: Corpus) -> Dict[str, float]:
-    """Section 4.1-style corpus headline numbers."""
+class SummaryParts(NamedTuple):
+    """The combinable pieces of :func:`corpus_summary` over a corpus
+    slice: counts add, ``mo_ids`` (distinct moving objects) unions,
+    the duration extremes are ``None`` for an empty slice.  The field
+    names are the service's ``SummaryPartsInfo`` reply's, so
+    :func:`merge_summary_parts` combines either."""
+
+    visits: int
+    mo_ids: Collection[str]
+    detections: int
+    transitions: int
+    max_visit_duration: Optional[float]
+    min_visit_duration: Optional[float]
+
+
+def summary_parts(trajectories: Corpus) -> SummaryParts:
+    """The summary parts of one corpus slice."""
     trajectories = as_trajectory_list(trajectories)
-    if not trajectories:
+    durations = [t.duration for t in trajectories]
+    detections = sum(len(t.trace) for t in trajectories)
+    return SummaryParts(len(trajectories),
+                        {t.mo_id for t in trajectories}, detections,
+                        detections - len(trajectories),
+                        max(durations, default=None),
+                        min(durations, default=None))
+
+
+def merge_summary_parts(parts: Iterable) -> SummaryParts:
+    """The summary parts of the union of disjoint slices (extremes
+    keep the first slice's value on ties, as one pass would)."""
+    parts = list(parts)
+    longest = [p.max_visit_duration for p in parts
+               if p.max_visit_duration is not None]
+    shortest = [p.min_visit_duration for p in parts
+                if p.min_visit_duration is not None]
+    return SummaryParts(sum(p.visits for p in parts),
+                        set().union(*(p.mo_ids for p in parts)),
+                        sum(p.detections for p in parts),
+                        sum(p.transitions for p in parts),
+                        max(longest, default=None),
+                        min(shortest, default=None))
+
+
+def summary_stats(parts: SummaryParts) -> Dict[str, float]:
+    """:func:`corpus_summary`'s numbers from (merged) parts; an empty
+    corpus reports float zero durations (the int/float split is part
+    of the canonical wire bytes)."""
+    if not parts.visits:
         return {"visits": 0, "visitors": 0, "detections": 0,
                 "transitions": 0, "max_visit_duration": 0.0,
                 "min_visit_duration": 0.0}
-    visitors = {t.mo_id for t in trajectories}
-    detections = sum(len(t.trace) for t in trajectories)
-    transitions = sum(len(t.trace) - 1 for t in trajectories)
-    durations = [t.duration for t in trajectories]
-    return {
-        "visits": len(trajectories),
-        "visitors": len(visitors),
-        "detections": detections,
-        "transitions": transitions,
-        "max_visit_duration": max(durations),
-        "min_visit_duration": min(durations),
-    }
+    return {"visits": parts.visits, "visitors": len(parts.mo_ids),
+            "detections": parts.detections,
+            "transitions": parts.transitions,
+            "max_visit_duration": parts.max_visit_duration,
+            "min_visit_duration": parts.min_visit_duration}
+
+
+def corpus_summary(trajectories: Corpus) -> Dict[str, float]:
+    """Section 4.1-style corpus headline numbers."""
+    return summary_stats(summary_parts(trajectories))

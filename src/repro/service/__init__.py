@@ -17,7 +17,8 @@ library only.
   a ``persist_dir`` and sessions become durable (journaled builds,
   auto-checkpoints, restore-on-restart — ``repro.persist``);
 * :mod:`repro.service.executor` — the one implementation of every
-  command; :class:`LocalBinding` runs it in-process (this is what
+  command and the :class:`Engine` protocol every front-end speaks;
+  :class:`LocalBinding` runs it in-process (this is what
   :class:`~repro.api.Workbench` is sugar over), the server runs the
   same functions behind HTTP;
 * :mod:`repro.service.wire` — the bytes-in/bytes-out request path
@@ -36,9 +37,10 @@ See ``docs/service.md`` for the protocol reference and curl examples.
 from repro.service.aserver import AsyncServiceServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.executor import (
+    Engine,
     LocalBinding,
     execute_command,
-    execute_command_safely,
+    execute_safely,
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -62,9 +64,10 @@ __all__ = [
     "JobState",
     "Session",
     "SessionRegistry",
+    "Engine",
     "LocalBinding",
     "execute_command",
-    "execute_command_safely",
+    "execute_safely",
     "AsyncServiceServer",
     "ResponseCache",
     "execute_json",

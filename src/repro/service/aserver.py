@@ -58,6 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Tuple
 
 from repro.service import protocol as P
+from repro.service.executor import Engine
 from repro.service.registry import SessionRegistry
 from repro.service.wire import (
     ResponseCache,
@@ -127,8 +128,9 @@ class AsyncServiceServer:
     """The asyncio HTTP/JSON trajectory server.
 
     Args:
-        registry: the session registry to serve; a fresh one by
-            default.
+        registry: the :class:`~repro.service.executor.Engine` to
+            serve (a session registry or a shard coordinator); a
+            fresh registry by default.
         host: bind address (loopback by default).
         port: TCP port; ``0`` picks an ephemeral free port.  The
             socket is bound in the constructor, so a port conflict
@@ -144,7 +146,7 @@ class AsyncServiceServer:
             requests to finish before closing connections.
     """
 
-    def __init__(self, registry: Optional[SessionRegistry] = None,
+    def __init__(self, registry: Optional[Engine] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  verbose: bool = False, sync_workers: int = 4,
                  max_inflight: int = 64,

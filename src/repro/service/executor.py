@@ -11,6 +11,12 @@ code path behind both transports: the HTTP server
 operations to.  Anything this module computes is therefore guaranteed
 to serialize identically whether it travelled over a socket or not.
 
+The shard coordinator (:mod:`repro.shard.coordinator`) is the other
+:class:`Engine`.  It shares this module's dispatch
+(:func:`dispatch`), its validators, the RunQuery route/merge phases
+and the merges of the single-scatter reads (:data:`SCATTER_READS`):
+what the two engines compute alike is written once, here.
+
 Failures never escape as raw exceptions: they come back as
 :class:`~repro.service.protocol.ErrorInfo` with a machine-matchable
 code (``unknown_session``, ``bad_cursor``, ...).
@@ -19,13 +25,33 @@ code (``unknown_session``, ``bad_cursor``, ...).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Type,
+    runtime_checkable,
+)
 
 from repro.mining.corpus import Corpus
-from repro.mining.flow import flow_balances
+from repro.mining.flow import flow_balances, merge_flow_balances
 from repro.mining.prefixspan import SequentialPattern, prefixspan
-from repro.mining.sequences import corpus_summary, state_sequences
+from repro.mining.sequences import (
+    corpus_summary,
+    merge_summary_parts,
+    state_sequences,
+    summary_parts,
+    summary_stats,
+)
 from repro.mining.similarity import similarity_matrix
+from repro.resilience.policy import DeadlineExceeded
+from repro.resilience.replicas import ReplicaUnavailable
 from repro.service import protocol as P
 from repro.service.registry import (
     BuildJob,
@@ -57,20 +83,25 @@ class CommandError(Exception):
 def patterns_over(sequences: Sequence[Sequence[str]],
                   min_support: float = 0.05,
                   max_length: int = 4) -> List[SequentialPattern]:
-    """PrefixSpan with the service's support convention.
-
-    ``min_support`` is an absolute count when >= 1, else a fraction
-    of the corpus (floored at 2).  The one implementation shared by
+    """PrefixSpan with the service's support convention
+    (:func:`support_threshold`).  The one implementation shared by
     the ``MinePatterns`` command and :meth:`Workbench.patterns
     <repro.api.Workbench.patterns>`.
     """
     if not sequences:
         return []
+    return prefixspan(sequences,
+                      support_threshold(min_support, len(sequences)),
+                      max_length)
+
+
+def support_threshold(min_support: float, sequence_count: int) -> int:
+    """The absolute support ``min_support`` asks for over
+    ``sequence_count`` sequences: the count itself when >= 1, else
+    that fraction of the corpus, floored at 2."""
     if min_support >= 1:
-        support = int(min_support)
-    else:
-        support = max(2, int(math.ceil(min_support * len(sequences))))
-    return prefixspan(sequences, support, max_length)
+        return int(min_support)
+    return max(2, int(math.ceil(min_support * sequence_count)))
 
 
 def similarity_over(space: Optional[object],
@@ -84,20 +115,24 @@ def similarity_over(space: Optional[object],
 
 
 # ----------------------------------------------------------------------
-# per-command handlers
+# validators and reply shapes shared by both engines
 # ----------------------------------------------------------------------
-def _session(registry: SessionRegistry, name: str) -> Session:
-    try:
-        return registry.get(name)
-    except UnknownSessionError:
-        raise CommandError(
-            "unknown_session",
-            "no session named {!r}; sessions: {}".format(
-                name, ", ".join(registry.names()) or "(none)"))
+def unknown_session(name: str, names: Sequence[str]) -> CommandError:
+    """The ``unknown_session`` failure for a read of ``name``."""
+    return CommandError(
+        "unknown_session",
+        "no session named {!r}; sessions: {}".format(
+            name, ", ".join(names) or "(none)"))
 
 
-def _query(session: Session, query: Optional[Dict]) -> Query:
-    store = session.workbench.store
+def parse_query(store, query: Optional[Dict]) -> Query:
+    """A query payload planned against ``store`` (parsing never
+    touches the store: the coordinator passes statistics, or None to
+    only validate).
+
+    Raises:
+        CommandError: ``bad_request`` for an unparseable payload.
+    """
     if query is None:
         return Query(store)
     try:
@@ -107,16 +142,61 @@ def _query(session: Session, query: Optional[Dict]) -> Query:
             "bad_request", "unparseable query: {}".format(error))
 
 
-def _corpus(session: Session, query: Optional[Dict]) -> Corpus:
-    if query is None:
-        return session.workbench.store
-    return _query(session, query).execute()
+def check_open_stream(command: P.OpenStream) -> None:
+    """Validate an ``OpenStream``'s bounds before any stream opens."""
+    if command.checkpoint_every < 1:
+        raise CommandError("bad_request",
+                           "checkpoint_every must be >= 1")
+    if command.max_open_events < 1:
+        raise CommandError("bad_request",
+                           "max_open_events must be >= 1")
+    if command.gap_seconds is not None and command.gap_seconds <= 0:
+        raise CommandError("bad_request", "gap_seconds must be > 0")
 
 
-def _job_info(job: BuildJob) -> P.JobInfo:
+def check_row_block(command: P.SimilarityBlock) -> None:
+    """Validate a ``SimilarityBlock``'s row range."""
+    size = len(command.sequences)
+    if not 0 <= command.row_start <= command.row_end <= size:
+        raise CommandError(
+            "bad_request",
+            "row block [{}, {}) out of range for {} "
+            "sequences".format(command.row_start, command.row_end,
+                               size))
+
+
+def job_info(job: BuildJob) -> P.JobInfo:
+    """The ``JobInfo`` reply describing a build job."""
     return P.JobInfo(job_id=job.job_id, session=job.session,
                      state=job.state.value, error=job.error,
                      metrics=P.JobInfo.metrics_dict(job.metrics))
+
+
+def job_status(engine, command: P.JobStatus) -> P.Response:
+    """``JobStatus`` on either engine (both keep a
+    :class:`~repro.service.registry.JobTable` behind ``job()``)."""
+    try:
+        job = engine.job(command.job_id)
+    except UnknownJobError:
+        raise CommandError("unknown_job",
+                           "no job {!r}".format(command.job_id))
+    return job_info(job)
+
+
+# ----------------------------------------------------------------------
+# per-command handlers
+# ----------------------------------------------------------------------
+def _session(registry: SessionRegistry, name: str) -> Session:
+    try:
+        return registry.get(name)
+    except UnknownSessionError:
+        raise unknown_session(name, registry.names())
+
+
+def _corpus(session: Session, query: Optional[Dict]) -> Corpus:
+    if query is None:
+        return session.workbench.store
+    return parse_query(session.workbench.store, query).execute()
 
 
 def _build(registry: SessionRegistry,
@@ -131,30 +211,21 @@ def _build(registry: SessionRegistry,
             wait=command.wait)
     except ValueError as error:
         raise CommandError("bad_request", str(error))
-    return _job_info(job)
+    return job_info(job)
 
 
-def _job_status(registry: SessionRegistry,
-                command: P.JobStatus) -> P.Response:
-    try:
-        job = registry.job(command.job_id)
-    except UnknownJobError:
-        raise CommandError("unknown_job",
-                           "no job {!r}".format(command.job_id))
-    return _job_info(job)
+def _session_info(session: Session) -> P.SessionInfo:
+    space = session.workbench.space
+    return P.SessionInfo(
+        name=session.name, trajectories=len(session.workbench.store),
+        state=session.state,
+        space=type(space).__name__ if space is not None else None)
 
 
 def _list_sessions(registry: SessionRegistry,
                    command: P.ListSessions) -> P.Response:
-    infos = []
-    for session in registry.sessions():
-        space = session.workbench.space
-        infos.append(P.SessionInfo(
-            name=session.name,
-            trajectories=len(session.workbench.store),
-            state=session.state,
-            space=type(space).__name__ if space is not None else None))
-    return P.SessionList(sessions=infos)
+    return P.SessionList(sessions=[_session_info(session)
+                                   for session in registry.sessions()])
 
 
 def _drop_session(registry: SessionRegistry,
@@ -330,7 +401,7 @@ def _run_query(registry: SessionRegistry,
     # -- route: validate shape, resolve ordering, decode the cursor
     session = _session(registry, command.session)
     spec = route_page(command)
-    query = _query(session, command.query)
+    query = parse_query(session.workbench.store, command.query)
     boundary, last_doc_id = decode_page_cursor(command, spec)
 
     # -- execute: one probed window from the single local store
@@ -378,7 +449,8 @@ def _run_query(registry: SessionRegistry,
 def _explain(registry: SessionRegistry,
              command: P.Explain) -> P.Response:
     session = _session(registry, command.session)
-    return P.Explanation(plan=_query(session, command.query).explain())
+    return P.Explanation(plan=parse_query(
+        session.workbench.store, command.query).explain())
 
 
 def _mine_patterns(registry: SessionRegistry,
@@ -463,13 +535,7 @@ def _similarity_block(registry: SessionRegistry,
     from repro.mining.similarity import similarity_block
 
     session = _session(registry, command.session)
-    size = len(command.sequences)
-    if not 0 <= command.row_start <= command.row_end <= size:
-        raise CommandError(
-            "bad_request",
-            "row block [{}, {}) out of range for {} "
-            "sequences".format(command.row_start, command.row_end,
-                               size))
+    check_row_block(command)
     hierarchy = getattr(session.workbench.space, "zone_hierarchy",
                         None)
     rows = similarity_block(hierarchy, command.sequences,
@@ -479,80 +545,131 @@ def _similarity_block(registry: SessionRegistry,
 
 def _summary_parts(registry: SessionRegistry,
                    command: P.SummaryParts) -> P.Response:
-    from repro.mining.corpus import iter_trajectories
-
     session = _session(registry, command.session)
-    visits = detections = transitions = 0
-    mo_ids = set()
-    max_duration: Optional[float] = None
-    min_duration: Optional[float] = None
-    for trajectory in iter_trajectories(
-            _corpus(session, command.query)):
-        visits += 1
-        mo_ids.add(trajectory.mo_id)
-        detections += len(trajectory.trace)
-        transitions += len(trajectory.trace) - 1
-        duration = trajectory.duration
-        if max_duration is None or duration > max_duration:
-            max_duration = duration
-        if min_duration is None or duration < min_duration:
-            min_duration = duration
-    return P.SummaryPartsInfo(
-        visits=visits, mo_ids=sorted(mo_ids),
-        detections=detections, transitions=transitions,
-        max_visit_duration=max_duration,
-        min_visit_duration=min_duration)
+    return _parts_info(summary_parts(_corpus(session, command.query)))
 
 
 def _store_stats(registry: SessionRegistry,
                  command: P.StoreStats) -> P.Response:
-    session = _session(registry, command.session)
-    store = session.workbench.store
-    annotations = [[kind.value, value, count]
-                   for (kind, value), count
-                   in store.annotation_cardinalities().items()]
-    annotations.sort(key=lambda item: (item[0], repr(item[1])))
+    store = _session(registry, command.session).workbench.store
     span = store.time_span()
-    return P.StoreStatsInfo(
+    return merge_store_stats([P.StoreStatsInfo(
         doc_count=len(store),
         states=store.state_cardinalities(),
-        annotations=annotations,
+        annotations=[[kind.value, value, count]
+                     for (kind, value), count
+                     in store.annotation_cardinalities().items()],
         mos=store.mo_cardinalities(),
-        time_span=None if span is None else list(span))
+        time_span=None if span is None else list(span))])
+
+
+# ----------------------------------------------------------------------
+# single-scatter reads: declared partial/merge pairs
+#
+# Each of these reads is one partial per store and one merge of the
+# partials' replies.  The executor answers a store's partial through
+# the handlers above; the shard coordinator scatters the partial
+# command to every shard and applies the merge below.  The executor's
+# own results go through the same combines (corpus_summary and
+# flow_balances build theirs with summary_stats and
+# merge_flow_balances; _store_stats sorts through merge_store_stats),
+# so sharded and unsharded bytes agree by construction.
+# ----------------------------------------------------------------------
+def _parts_info(parts) -> P.SummaryPartsInfo:
+    return P.SummaryPartsInfo(
+        **parts._replace(mo_ids=sorted(parts.mo_ids))._asdict())
+
+
+def merge_pattern_supports(replies: Iterable[P.PatternSupports]
+                           ) -> P.PatternSupports:
+    """Exact supports over disjoint slices: per-pattern sums."""
+    replies = list(replies)
+    return P.PatternSupports(
+        supports=[sum(column) for column in
+                  zip(*(reply.supports for reply in replies))],
+        sequences=sum(reply.sequences for reply in replies))
+
+
+def merge_store_stats(replies: Iterable[P.StoreStatsInfo]
+                      ) -> P.StoreStatsInfo:
+    """Planner statistics of disjoint slices: cardinalities summed,
+    the time span widened, annotations sorted by ``(kind,
+    repr(value))``."""
+    doc_count = 0
+    states: Dict[str, int] = {}
+    mos: Dict[str, int] = {}
+    annotations: Dict[Tuple, int] = {}
+    span: Optional[List[float]] = None
+    for reply in replies:
+        doc_count += reply.doc_count
+        for state, count in reply.states.items():
+            states[state] = states.get(state, 0) + count
+        for mo, count in reply.mos.items():
+            mos[mo] = mos.get(mo, 0) + count
+        for kind, value, count in reply.annotations:
+            annotations[kind, value] = \
+                annotations.get((kind, value), 0) + count
+        if reply.time_span is not None:
+            if span is None:
+                span = list(reply.time_span)
+            else:
+                span = [min(span[0], reply.time_span[0]),
+                        max(span[1], reply.time_span[1])]
+    triples = [[kind, value, count]
+               for (kind, value), count in annotations.items()]
+    triples.sort(key=lambda item: (item[0], repr(item[1])))
+    return P.StoreStatsInfo(doc_count=doc_count, states=states,
+                            annotations=triples, mos=mos,
+                            time_span=span)
+
+
+def _same(command: P.Command) -> P.Command:
+    return command
+
+
+#: Command type → ``(partial command each store answers, merge of
+#: the partial replies)``.  ``Summary`` scatters as ``SummaryParts``,
+#: whose reply carries visitor *sets*, so distinct counts stay exact.
+SCATTER_READS: Dict[Type[P.Command], Tuple[Callable, Callable]] = {
+    P.Summary: (
+        lambda command: P.SummaryParts(session=command.session,
+                                       query=command.query),
+        lambda replies: P.SummaryStats(
+            stats=summary_stats(merge_summary_parts(replies)))),
+    P.SummaryParts: (
+        _same, lambda replies: _parts_info(merge_summary_parts(replies))),
+    P.Flow: (_same, lambda replies: P.FlowList(
+        balances=merge_flow_balances(
+            reply.balances for reply in replies))),
+    P.CountPatterns: (_same, merge_pattern_supports),
+    P.StoreStats: (_same, merge_store_stats),
+}
 
 
 # ----------------------------------------------------------------------
 # live streams (repro.stream) — imported lazily so the service layer
 # has no stream dependency until a stream command actually arrives
 # ----------------------------------------------------------------------
-def _streams(registry: SessionRegistry):
-    from repro.stream.manager import stream_manager
-
-    return stream_manager(registry)
+def unknown_stream(session: str, stream: str) -> CommandError:
+    """The ``unknown_stream`` failure (never opened, or closed)."""
+    return CommandError(
+        "unknown_stream",
+        "no stream {!r} on session {!r}".format(stream, session))
 
 
 def _stream(registry: SessionRegistry, session: str, stream: str):
     from repro.stream.manager import UnknownStreamError
 
     try:
-        return _streams(registry).get(session, stream)
+        return registry.stream_manager().get(session, stream)
     except UnknownStreamError:
-        raise CommandError(
-            "unknown_stream",
-            "no stream {!r} on session {!r}".format(stream, session))
+        raise unknown_stream(session, stream)
 
 
 def _open_stream(registry: SessionRegistry,
                  command: P.OpenStream) -> P.Response:
-    if command.checkpoint_every < 1:
-        raise CommandError("bad_request",
-                           "checkpoint_every must be >= 1")
-    if command.max_open_events < 1:
-        raise CommandError("bad_request",
-                           "max_open_events must be >= 1")
-    if command.gap_seconds is not None and command.gap_seconds <= 0:
-        raise CommandError("bad_request", "gap_seconds must be > 0")
-    stream = _streams(registry).open(
+    check_open_stream(command)
+    stream = registry.stream_manager().open(
         command.session, command.stream,
         gap_seconds=command.gap_seconds,
         checkpoint_every=command.checkpoint_every,
@@ -607,15 +724,11 @@ def _close_stream(registry: SessionRegistry,
     from repro.persist.format import PersistError
     from repro.stream.manager import UnknownStreamError
 
-    _stream(registry, command.session, command.stream)
     try:
-        summary = _streams(registry).close(command.session,
-                                           command.stream)
+        summary = registry.stream_manager().close(command.session,
+                                                  command.stream)
     except UnknownStreamError:
-        raise CommandError(
-            "unknown_stream",
-            "no stream {!r} on session {!r}".format(
-                command.stream, command.session))
+        raise unknown_stream(command.session, command.stream)
     except PersistError as error:
         raise CommandError("persistence", str(error))
     return P.StreamClosed(
@@ -659,17 +772,12 @@ def _restore_session(registry: SessionRegistry,
                 command.session))
     except PersistError as error:
         raise CommandError("persistence", str(error))
-    space = session.workbench.space
-    return P.SessionInfo(
-        name=session.name,
-        trajectories=len(session.workbench.store),
-        state=session.state,
-        space=type(space).__name__ if space is not None else None)
+    return _session_info(session)
 
 
 _HANDLERS: Dict[Type[P.Command], Callable] = {
     P.BuildDataset: _build,
-    P.JobStatus: _job_status,
+    P.JobStatus: job_status,
     P.ListSessions: _list_sessions,
     P.DropSession: _drop_session,
     P.RunQuery: _run_query,
@@ -693,17 +801,19 @@ _HANDLERS: Dict[Type[P.Command], Callable] = {
 }
 
 
-def execute_command(registry: SessionRegistry,
-                    command: P.Command) -> P.Response:
-    """Run one command; *expected* failures become ``ErrorInfo``.
+def dispatch(handlers: Mapping[Type[P.Command], Callable], engine,
+             command: P.Command) -> P.Response:
+    """The one command dispatch, shared by both engines.
 
-    Unexpected exceptions (genuine bugs) propagate with their
-    traceback intact — the in-process library path must not swallow
-    them.  The transport boundary (:func:`~repro.service.wire
-    .execute_json`, :meth:`LocalBinding.call_json`) converts them to ``internal``
-    errors, because a wire server must answer, not crash.
+    Runs ``handlers[type(command)](engine, command)``; *expected*
+    failures become ``ErrorInfo`` — handler rejections, a spent
+    deadline, an exhausted replica set, a shard's error reply
+    (relayed verbatim), an unserializable expression, a protocol
+    violation.  Unexpected exceptions (genuine bugs) propagate with
+    their traceback intact: the in-process library path must not
+    swallow them; :func:`execute_safely` is the wire boundary.
     """
-    handler = _HANDLERS.get(type(command))
+    handler = handlers.get(type(command))
     if handler is None:
         return P.ErrorInfo(
             code="bad_request",
@@ -715,8 +825,14 @@ def execute_command(registry: SessionRegistry,
             code="deadline_exceeded",
             message="deadline expired before execution began")
     try:
-        return handler(registry, command)
+        return handler(engine, command)
     except CommandError as error:
+        return P.ErrorInfo(code=error.code, message=error.message)
+    except DeadlineExceeded as error:
+        return P.ErrorInfo(code="deadline_exceeded", message=str(error))
+    except ReplicaUnavailable as error:
+        return P.ErrorInfo(code="unavailable", message=str(error))
+    except P.ServiceError as error:
         return P.ErrorInfo(code=error.code, message=error.message)
     except ExprSerializationError as error:
         return P.ErrorInfo(code="unserializable", message=str(error))
@@ -724,52 +840,75 @@ def execute_command(registry: SessionRegistry,
         return P.ErrorInfo(code="protocol", message=str(error))
 
 
-def execute_command_safely(registry: SessionRegistry,
-                           command: P.Command) -> P.Response:
-    """:func:`execute_command` with the wire-boundary catch-all."""
+def execute_command(registry: SessionRegistry,
+                    command: P.Command) -> P.Response:
+    """Run one command against a registry (see :func:`dispatch`)."""
+    return dispatch(_HANDLERS, registry, command)
+
+
+def execute_safely(engine: "Engine", command: P.Command) -> P.Response:
+    """``engine.execute_command`` with the wire-boundary catch-all:
+    a genuine bug becomes an ``internal`` error, because a server
+    must answer, not crash."""
     try:
-        return execute_command(registry, command)
-    except Exception as error:  # the service must answer, not crash
+        return engine.execute_command(command)
+    except Exception as error:
         return P.ErrorInfo(
             code="internal",
             message="{}: {}".format(type(error).__name__, error))
 
 
-def run_command(engine, command: P.Command) -> P.Response:
-    """Dispatch a command to whatever engine is behind the service.
+@runtime_checkable
+class Engine(Protocol):
+    """The engine behind the service: everything the HTTP front-end,
+    the wire layer, the CLI and :class:`LocalBinding` use of it.
 
-    A plain :class:`SessionRegistry` goes through
-    :func:`execute_command`; an engine carrying its own
-    ``execute_command`` method (the shard coordinator) dispatches
-    there.  Every front-end routes through this, so swapping the
-    engine never touches a transport.
+    :class:`~repro.service.registry.SessionRegistry` (one process)
+    and :class:`~repro.shard.coordinator.ShardCoordinator` (N shards)
+    implement it:
+
+    - ``execute_command`` runs one command; expected failures come
+      back as ``ErrorInfo`` (:func:`dispatch`), bugs propagate;
+    - ``cache_stamp`` is the response-cache validity stamp of a
+      session now (None when it does not resolve) — equal stamps
+      prove equal read results;
+    - ``health_roster``, ``shard_report`` and ``stream_report`` feed
+      ``GET /v1/health``; ``restoring`` and ``breaker_report`` feed
+      ``GET /v1/ready`` (the reports are None where the engine has
+      no shards, replicas or streams);
+    - ``finish_restore`` runs a restore the construction deferred;
+      ``restore_errors`` maps sessions that failed to restore to why.
     """
-    runner = getattr(engine, "execute_command", None)
-    if runner is not None:
-        return runner(command)
-    return execute_command(engine, command)
 
+    restoring: bool
+    restore_errors: Dict[str, str]
 
-def run_command_safely(engine, command: P.Command) -> P.Response:
-    """:func:`run_command` with the wire-boundary catch-all."""
-    runner = getattr(engine, "execute_command_safely", None)
-    if runner is not None:
-        return runner(command)
-    return execute_command_safely(engine, command)
+    def execute_command(self, command: P.Command) -> P.Response: ...
+
+    def cache_stamp(self, session: str) -> Optional[Tuple]: ...
+
+    def health_roster(self) -> List[Dict]: ...
+
+    def shard_report(self) -> Optional[List[Dict]]: ...
+
+    def stream_report(self) -> Optional[Dict]: ...
+
+    def breaker_report(self) -> Optional[List[Dict]]: ...
+
+    def finish_restore(self) -> None: ...
 
 
 class LocalBinding:
     """The service protocol without sockets.
 
-    Wraps an engine — a :class:`SessionRegistry` or a shard
+    Wraps an :class:`Engine` — a :class:`SessionRegistry` or a shard
     coordinator — so commands execute in-process through the exact
     code path the HTTP server uses.  :class:`~repro.api.Workbench` is
     sugar over one of these; tests use :meth:`call_json` to prove the
     wire form is byte-identical to the in-process form.
     """
 
-    def __init__(self,
-                 registry: Optional[object] = None) -> None:
+    def __init__(self, registry: Optional[Engine] = None) -> None:
         self.registry = registry if registry is not None \
             else SessionRegistry()
 
@@ -783,7 +922,7 @@ class LocalBinding:
         Raises:
             ServiceError: when the service answers with ``Error``.
         """
-        response = run_command(self.registry, command)
+        response = self.registry.execute_command(command)
         if isinstance(response, P.ErrorInfo):
             raise P.ServiceError(response.code, response.message)
         return response
@@ -800,5 +939,4 @@ class LocalBinding:
         except P.ProtocolError as error:
             return P.ErrorInfo(code="protocol",
                                message=str(error)).to_json()
-        return run_command_safely(self.registry,
-                                  command).to_json()
+        return execute_safely(self.registry, command).to_json()

@@ -260,9 +260,20 @@ class Command(_Message):
 
 
 class Response(_Message):
-    """Base class of every reply message."""
+    """Base class of every reply message.
+
+    A ``degraded`` marker (reads a sharded engine merged from its live
+    shards only) is serialized only when set, so a whole reply stays
+    byte-identical to the unsharded executor's.
+    """
 
     _tag = "response"
+
+    def to_dict(self) -> Dict:
+        data = super().to_dict()
+        if "degraded" in data and data["degraded"] is None:
+            del data["degraded"]
+        return data
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -877,12 +888,8 @@ class QueryPage(Response):
     degraded: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
-        data = {"v": PROTOCOL_VERSION, self._tag: self.kind,
-                "hits": [h.to_dict() for h in self.hits],
-                "total": self.total,
-                "next_cursor": self.next_cursor}
-        if self.degraded is not None:
-            data["degraded"] = self.degraded
+        data = super().to_dict()
+        data["hits"] = [h.to_dict() for h in self.hits]
         return data
 
     @classmethod
@@ -949,10 +956,8 @@ class FlowList(Response):
     degraded: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
-        data = {"v": PROTOCOL_VERSION, self._tag: self.kind,
-                "balances": [b.to_dict() for b in self.balances]}
-        if self.degraded is not None:
-            data["degraded"] = self.degraded
+        data = super().to_dict()
+        data["balances"] = [b.to_dict() for b in self.balances]
         return data
 
     @classmethod
@@ -974,13 +979,6 @@ class SequenceList(Response):
     sequences: List[List[str]] = field(default_factory=list)
     degraded: Optional[Dict] = None
 
-    def to_dict(self) -> Dict:
-        data = {"v": PROTOCOL_VERSION, self._tag: self.kind,
-                "sequences": self.sequences}
-        if self.degraded is not None:
-            data["degraded"] = self.degraded
-        return data
-
 
 @dataclass(frozen=True)
 class SummaryStats(Response):
@@ -990,13 +988,6 @@ class SummaryStats(Response):
 
     stats: Dict[str, float] = field(default_factory=dict)
     degraded: Optional[Dict] = None
-
-    def to_dict(self) -> Dict:
-        data = {"v": PROTOCOL_VERSION, self._tag: self.kind,
-                "stats": self.stats}
-        if self.degraded is not None:
-            data["degraded"] = self.degraded
-        return data
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import itertools
 import os
 import shutil
 import threading
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.api import Workbench
 from repro.pipeline.engine import PipelineError
@@ -176,6 +176,65 @@ class Session:
 MAX_FINISHED_JOBS = 64
 
 
+class JobTable:
+    """Build jobs by id (``job-N``), finished ones pruned past
+    :data:`MAX_FINISHED_JOBS` — the one job table of every engine."""
+
+    def __init__(self) -> None:
+        self._jobs: Dict[str, BuildJob] = {}
+        self._ids = itertools.count(1)
+        self._lock = threading.Lock()
+
+    def start(self, session: str, target) -> BuildJob:
+        """Register and start a job running ``target(job)``."""
+        with self._lock:
+            job = BuildJob("job-{}".format(next(self._ids)), session,
+                           target)
+            self._jobs[job.job_id] = job
+            # Retention: drop the oldest finished handles (each pins
+            # its pipeline and thread object) beyond the cap.
+            finished = [job_id for job_id, held in self._jobs.items()
+                        if held.state in (JobState.DONE,
+                                          JobState.FAILED)]
+            for job_id in finished[:max(0, len(finished)
+                                        - MAX_FINISHED_JOBS)]:
+                del self._jobs[job_id]
+        job._start()
+        return job
+
+    def get(self, job_id: str) -> BuildJob:
+        """Lookup a job by id (UnknownJobError for unknown ids)."""
+        with self._lock:
+            try:
+                return self._jobs[job_id]
+            except KeyError:
+                raise UnknownJobError(job_id)
+
+
+def check_build_source(source: str, path: Optional[str]) -> None:
+    """Raises ValueError for an unknown source kind or a csv source
+    without a path."""
+    if source not in ("louvre", "csv"):
+        raise ValueError(
+            "unknown source {!r}; one of: louvre, csv".format(source))
+    if source == "csv" and not path:
+        raise ValueError("csv source needs a path")
+
+
+def wal_report(wal) -> Dict:
+    """Group-commit counters of one write-ahead log.
+
+    ``coalescing`` is appends per physical flush — the fan-in the
+    group-commit leader achieved (1.0 means every append paid its own
+    fsync; ``None`` before the first flush).
+    """
+    appends = wal.appends
+    flushes = wal.group_flushes
+    return {"appends": appends, "group_flushes": flushes,
+            "coalescing": (round(appends / flushes, 3)
+                           if flushes else None)}
+
+
 class SessionRegistry:
     """Thread-safe map of session name → :class:`Session` plus the
     build-job table (finished jobs pruned past
@@ -211,9 +270,10 @@ class SessionRegistry:
                  standby: bool = False,
                  defer_restore: bool = False) -> None:
         self._sessions: Dict[str, Session] = {}
-        self._jobs: Dict[str, BuildJob] = {}
-        self._job_ids = itertools.count(1)
+        self._jobs = JobTable()
         self._lock = threading.Lock()
+        #: The live-stream table, created by :meth:`stream_manager`.
+        self._streams = None
         self.persist_dir = persist_dir
         self._fsync = fsync
         self.standby = standby
@@ -458,6 +518,67 @@ class SessionRegistry:
         with self._lock:
             return list(self._sessions.values())
 
+    def stream_manager(self):
+        """The live-stream table (:class:`~repro.stream.manager
+        .StreamManager`), created by the first stream command."""
+        if self._streams is None:
+            from repro.stream.manager import StreamManager
+
+            with self._lock:
+                if self._streams is None:
+                    self._streams = StreamManager(self)
+        return self._streams
+
+    # ------------------------------------------------------------------
+    # the Engine surface (repro.service.executor.Engine)
+    # ------------------------------------------------------------------
+    def execute_command(self, command):
+        """Run one protocol command against this registry
+        (:func:`repro.service.executor.execute_command`)."""
+        from repro.service.executor import execute_command
+
+        return execute_command(self, command)
+
+    def cache_stamp(self, session: str) -> Optional[Tuple]:
+        """``(name, store serial, store version, space generation)``
+        of ``session`` (None when unknown).  The space component is a
+        monotonic counter, not ``id(space)``: ids are reused after
+        garbage collection and could revalidate stale bytes."""
+        with self._lock:
+            held = self._sessions.get(session)
+        if held is None:
+            return None
+        workbench = held.workbench
+        store = workbench.store
+        return (session, store.serial, store.version,
+                workbench.space_generation)
+
+    def health_roster(self) -> List[Dict]:
+        """Per-session entries for ``GET /v1/health``; durable
+        sessions carry their WAL group-commit counters."""
+        roster = []
+        for session in self.sessions():
+            entry = {"name": session.name, "state": session.state,
+                     "trajectories": len(session.workbench.store),
+                     "ingest": {
+                         "accepted": session.ingest_accepted,
+                         "rejected": session.ingest_rejected}}
+            wal = session.workbench.store.wal
+            if wal is not None:
+                entry["wal"] = wal_report(wal)
+            roster.append(entry)
+        return roster
+
+    def shard_report(self) -> None:
+        return None  # no shards behind a registry
+
+    def breaker_report(self) -> None:
+        return None  # no replicas behind a registry
+
+    def stream_report(self) -> Optional[Dict]:
+        """Live-stream gauges, once the stream table exists."""
+        return None if self._streams is None else self._streams.report()
+
     # ------------------------------------------------------------------
     # build jobs
     # ------------------------------------------------------------------
@@ -467,11 +588,7 @@ class SessionRegistry:
         Raises:
             UnknownJobError: for unknown ids.
         """
-        with self._lock:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise UnknownJobError(job_id)
+        return self._jobs.get(job_id)
 
     def build(self, name: str, source: str = "louvre",
               scale: float = 0.05, path: Optional[str] = None,
@@ -501,13 +618,7 @@ class SessionRegistry:
             ValueError: for an unknown source kind or a csv source
                 without a path.
         """
-        if source not in ("louvre", "csv"):
-            raise ValueError(
-                "unknown source {!r}; one of: louvre, csv".format(
-                    source))
-        if source == "csv" and not path:
-            raise ValueError("csv source needs a path")
-
+        check_build_source(source, path)
         initial = self.create(name)
         if initial.workbench.space is None:
             from repro.louvre.space import LouvreSpace
@@ -553,19 +664,7 @@ class SessionRegistry:
                 finally:
                     session._building -= 1
 
-        with self._lock:
-            job = BuildJob("job-{}".format(next(self._job_ids)), name,
-                           target)
-            self._jobs[job.job_id] = job
-            # Retention: drop the oldest finished handles (each pins
-            # its pipeline and thread object) beyond the cap.
-            finished = [job_id for job_id, held in self._jobs.items()
-                        if held.state in (JobState.DONE,
-                                          JobState.FAILED)]
-            for job_id in finished[:max(0, len(finished)
-                                        - MAX_FINISHED_JOBS)]:
-                del self._jobs[job_id]
-        job._start()
+        job = self._jobs.start(name, target)
         if wait:
             job.wait()
         return job

@@ -2,8 +2,9 @@
 
 :func:`execute_json` is the one bytes-in/``(status, bytes)``-out
 implementation of ``POST /v1/call``: parse the body as a protocol
-command, execute it through :func:`~repro.service.executor
-.run_command_safely`, map the error code to an HTTP status, and
+command, execute it on the :class:`~repro.service.executor.Engine`
+(through :func:`~repro.service.executor.execute_safely`), map the
+error code to an HTTP status, and
 serialize the response to canonical JSON.  The asyncio server
 (:mod:`repro.service.aserver`) calls it per request; it serializes
 exactly as :meth:`LocalBinding.call_json
@@ -12,11 +13,13 @@ the socket and in-process transports byte-identical.
 
 Read responses may be kept in a :class:`ResponseCache`: a bounded LRU
 of full response payloads for *read* commands, keyed on the raw
-request bytes and stamped with the target store's ``(serial,
-version)`` identity (:attr:`~repro.storage.store.TrajectoryStore
-.version`).  Because the store is insert-only and bumps its version
-on every write, a stamp match proves the cached bytes are exactly
-what re-executing the command would produce — the cache can never
+request bytes and stamped with the engine's identity of the target
+session (:meth:`Engine.cache_stamp
+<repro.service.executor.Engine.cache_stamp>`: a registry's store
+``(serial, version)``, a coordinator's session serial and ingest
+generation).  Because stores are insert-only and every write changes
+the stamp, a stamp match proves the cached bytes are exactly what
+re-executing the command would produce — the cache can never
 serve a stale page, only skip redundant work.  The front-end looks a
 body up (:meth:`ResponseCache.get`) before it executes anything;
 :func:`execute_json` only inserts.  On this service's hot path
@@ -33,8 +36,7 @@ from typing import Dict, Optional, Tuple
 
 from repro import __version__
 from repro.service import protocol as P
-from repro.service.executor import run_command_safely
-from repro.service.registry import SessionRegistry, UnknownSessionError
+from repro.service.executor import Engine, execute_safely
 
 #: Error code → HTTP status of the reply carrying it.
 STATUS_OF_CODE = {
@@ -73,11 +75,11 @@ class ResponseCache:
 
     Entries are keyed on the **raw request bytes** (no parse needed on
     a hit) and carry the validity stamp captured *before* the command
-    executed: the target session's name plus its store's
-    ``(serial, version)`` and the identity of its space model.  A hit
-    is served only while the live session still matches the stamp;
-    any ingestion (version bump), session swap (new store serial) or
-    space assignment invalidates transparently.
+    executed (:meth:`Engine.cache_stamp
+    <repro.service.executor.Engine.cache_stamp>`).  A hit is served
+    only while the live session still matches the stamp; any
+    ingestion, session swap or space assignment invalidates
+    transparently.
 
     Thread-safe; bounded by entry count and total payload bytes
     (oldest entries evicted first).
@@ -95,34 +97,15 @@ class ResponseCache:
 
     # -- stamping -------------------------------------------------------
     @staticmethod
-    def stamp(registry: SessionRegistry,
-              session: Optional[str]) -> Optional[Tuple]:
+    def stamp(engine: Engine, session: Optional[str]) -> Optional[Tuple]:
         """The validity stamp of ``session`` right now (None when the
-        session does not resolve — such commands are not cached).
-
-        The space component is the workbench's monotonic
-        ``space_generation`` counter, not ``id(space)``: id values
-        are reused after garbage collection, so a dropped session
-        whose replacement space landed at the same address could
-        otherwise revalidate stale bytes.  An engine carrying its own
-        ``cache_stamp`` (the shard coordinator) stamps itself.
-        """
+        session does not resolve — such commands are not cached)."""
         if not isinstance(session, str):
             return None
-        stamper = getattr(registry, "cache_stamp", None)
-        if stamper is not None:
-            return stamper(session)
-        try:
-            held = registry.get(session)
-        except UnknownSessionError:
-            return None
-        workbench = held.workbench
-        store = workbench.store
-        return (session, store.serial, store.version,
-                getattr(workbench, "space_generation", 0))
+        return engine.cache_stamp(session)
 
     # -- lookup/insert --------------------------------------------------
-    def get(self, registry: SessionRegistry,
+    def get(self, engine: Engine,
             raw: bytes) -> Optional[Tuple[int, bytes]]:
         """``(status, body)`` when ``raw`` is cached *and* still
         valid; ``None`` otherwise (stale entries are dropped)."""
@@ -135,7 +118,7 @@ class ResponseCache:
                 self.misses += 1
             return None
         stamp, status, body = entry
-        if self.stamp(registry, stamp[0]) != stamp:
+        if self.stamp(engine, stamp[0]) != stamp:
             with self._lock:
                 held = self._entries.get(raw)
                 if held is entry:
@@ -182,7 +165,7 @@ class ResponseCache:
                     "misses": self.misses}
 
 
-def execute_json(registry: SessionRegistry, raw: bytes,
+def execute_json(engine: Engine, raw: bytes,
                  cache: Optional[ResponseCache] = None
                  ) -> Tuple[int, bytes]:
     """One ``POST /v1/call`` body → ``(HTTP status, response bytes)``.
@@ -205,9 +188,8 @@ def execute_json(registry: SessionRegistry, raw: bytes,
         # Captured *before* executing: a write racing the execution
         # leaves the entry stamped with the pre-write version, which
         # can only fail validation — never serve mixed-state bytes.
-        stamp = cache.stamp(registry, getattr(command, "session",
-                                              None))
-    response = run_command_safely(registry, command)
+        stamp = cache.stamp(engine, getattr(command, "session", None))
+    response = execute_safely(engine, command)
     status = 200
     if isinstance(response, P.ErrorInfo):
         status = STATUS_OF_CODE.get(response.code, 500)
@@ -217,83 +199,49 @@ def execute_json(registry: SessionRegistry, raw: bytes,
     return status, body
 
 
-def wal_report(wal) -> Dict:
-    """Group-commit counters of one write-ahead log.
-
-    ``coalescing`` is appends per physical flush — the fan-in the
-    group-commit leader achieved (1.0 means every append paid its own
-    fsync; ``None`` before the first flush).
-    """
-    appends = wal.appends
-    flushes = wal.group_flushes
-    return {"appends": appends, "group_flushes": flushes,
-            "coalescing": (round(appends / flushes, 3)
-                           if flushes else None)}
-
-
-def health_payload(registry: SessionRegistry,
+def health_payload(engine: Engine,
                    load: Optional[Dict] = None) -> Dict:
     """The ``GET /v1/health`` document.
 
     ``load`` is the front-end's saturation report (in-flight count,
     queue depth, rejection counter, cache stats) — keyed in only when
-    given.
-    Durable sessions additionally report their WAL group-commit
-    counters, and a shard coordinator engine contributes a per-shard
-    fan-out/saturation section under ``"shards"``.
+    given.  The engine supplies the session roster and, when it has
+    them, a per-shard fan-out section (``"shards"``) and live-stream
+    gauges (``"streams"``).
     """
-    roster_fn = getattr(registry, "health_roster", None)
-    if roster_fn is not None:
-        roster = roster_fn()
-    else:
-        roster = []
-        for session in registry.sessions():
-            entry = {"name": session.name, "state": session.state,
-                     "trajectories": len(session.workbench.store),
-                     "ingest": {
-                         "accepted": session.ingest_accepted,
-                         "rejected": session.ingest_rejected}}
-            wal = session.workbench.store.wal
-            if wal is not None:
-                entry["wal"] = wal_report(wal)
-            roster.append(entry)
     payload = {"ok": True, "version": __version__,
-               "protocol": P.PROTOCOL_VERSION, "sessions": roster}
-    shards_fn = getattr(registry, "shard_report", None)
-    if shards_fn is not None:
-        payload["shards"] = shards_fn()
-    # Live-stream lag/watermark counters: present once the engine has
-    # opened a stream (the manager attaches itself lazily), duck-typed
-    # so the wire layer needs no stream import.
-    streams = getattr(registry, "_stream_manager", None)
+               "protocol": P.PROTOCOL_VERSION,
+               "sessions": engine.health_roster()}
+    shards = engine.shard_report()
+    if shards is not None:
+        payload["shards"] = shards
+    streams = engine.stream_report()
     if streams is not None:
-        payload["streams"] = streams.report()
+        payload["streams"] = streams
     if load is not None:
         payload["load"] = load
     return payload
 
 
-def ready_payload(registry: SessionRegistry
-                  ) -> Tuple[int, Dict]:
+def ready_payload(engine: Engine) -> Tuple[int, Dict]:
     """The ``GET /v1/ready`` document: ``(status, payload)``.
 
     Liveness (``/v1/health``) answers 200 whenever the process can
     answer at all; *readiness* is the load-balancer drain signal and
     goes 503 while the engine should not receive traffic:
 
-    - sessions are still restoring from disk (``registry.restoring``,
-      duck-typed — a registry serving before its corpus is loaded
-      would answer reads with wrong/empty results), or
-    - more than half of a shard coordinator's replica targets have
-      open circuit breakers (``registry.breaker_report``) — the
+    - sessions are still restoring from disk (``engine.restoring``) —
+      a registry serving before its corpus is loaded would answer
+      reads with wrong/empty results, or
+    - more than half of the engine's replica targets have open
+      circuit breakers (``engine.breaker_report()``) — the
       coordinator can no longer mask failures and this instance
       should be drained rather than trusted with traffic.
     """
     reasons = []
-    if getattr(registry, "restoring", False):
+    if engine.restoring:
         reasons.append("sessions restoring from disk")
-    breakers_fn = getattr(registry, "breaker_report", None)
-    breakers = breakers_fn() if breakers_fn is not None else None
+    breakers = engine.breaker_report()
     if breakers:
         open_count = sum(1 for entry in breakers
                          if entry.get("state") == "open")

@@ -1,32 +1,36 @@
 """The scatter-gather coordinator over N shard executors.
 
-:class:`ShardCoordinator` presents the *engine* surface the service
-front-ends already speak (``execute_command`` /
-``execute_command_safely`` plus the duck-typed ``cache_stamp`` /
-``health_roster`` / ``shard_report`` hooks), so the threaded server,
-the asyncio server and :class:`~repro.service.executor.LocalBinding`
-all serve a sharded corpus without a line of transport change.
+:class:`ShardCoordinator` is the second implementation of the
+:class:`~repro.service.executor.Engine` protocol (beside
+:class:`~repro.service.registry.SessionRegistry`), so the asyncio
+server, the wire layer and :class:`~repro.service.executor
+.LocalBinding` serve a sharded corpus without a line of transport
+change.
 
 Behind that surface every session is split across N shard executors —
 in-process registries or remote ``repro serve`` workers — by
 consistent hashing of **global document ids** (:mod:`repro.shard
-.ring`).  The coordinator reuses the executor's route/merge phases
-verbatim (:func:`~repro.service.executor.route_page` and friends), so
-validation, cursors, page shapes and error strings are byte-identical
-to the single-process engine; only the execute phase differs:
+.ring`).  The coordinator shares the executor's command dispatch,
+validators and route/merge phases (:func:`~repro.service.executor
+.dispatch`, :func:`~repro.service.executor.route_page` and friends),
+so validation, cursors, page shapes and error strings are
+byte-identical to the single-process engine; only the execute phase
+differs:
 
+* ``Summary`` / ``SummaryParts`` / ``Flow`` / ``CountPatterns`` /
+  ``StoreStats`` — the declared single-scatter reads
+  (:data:`~repro.service.executor.SCATTER_READS`): one partial per
+  shard, combined by the same merge the executor's own results go
+  through;
 * ``RunQuery`` — per-shard cursor-translated page streams, k-way
   merged on ``(order key, global doc id)`` (:mod:`repro.shard.merge`);
-* ``Explain`` — per-shard ``StoreStats`` summed into the logical
-  corpus statistics, planned against a stats-only store proxy;
+* ``Explain`` — the merged ``StoreStats`` of the logical corpus,
+  planned against a stats-only store proxy;
 * ``MinePatterns`` — count-distribution PrefixSpan: local mining at a
   pigeonhole-lowered threshold, then an exact ``CountPatterns``
   recount of the candidate union;
 * ``Similarity`` — the merged sequence list scattered as
   ``SimilarityBlock`` row ranges and stitched;
-* ``Flow`` / ``Summary`` — additive partial aggregates combined
-  (``SummaryParts`` carries visitor *sets* so distinct counts stay
-  exact);
 * ``BuildDataset`` — the pipeline runs once on the coordinator with a
   fan-out sink that routes each built batch to its shards as
   ``IngestDocuments``.
@@ -52,7 +56,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -60,22 +63,33 @@ from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.mining.prefixspan import SequentialPattern
+from repro.pipeline.engine import Stage
 from repro.resilience.policy import Deadline, DeadlineExceeded, RetryPolicy
-from repro.resilience.replicas import (
-    ReplicaUnavailable,
-    ShardTarget,
-    is_shard_loss,
-)
+from repro.resilience.replicas import ShardTarget, is_shard_loss
 from repro.service import protocol as P
 from repro.service.executor import (
     MAX_PAGE_SIZE,
+    SCATTER_READS,
     CommandError,
     PageSpec,
     assemble_page,
+    check_open_stream,
+    check_row_block,
     decode_page_cursor,
+    dispatch,
+    job_info,
+    job_status,
+    parse_query,
     route_page,
+    support_threshold,
+    unknown_session,
+    unknown_stream,
 )
-from repro.service.registry import MAX_FINISHED_JOBS, BuildJob, JobState
+from repro.service.registry import (
+    BuildJob,
+    JobTable,
+    check_build_source,
+)
 from repro.shard.merge import merge_sorted
 from repro.shard.ring import (
     DEFAULT_REPLICAS,
@@ -83,25 +97,30 @@ from repro.shard.ring import (
     ShardStateError,
     ShardTopology,
 )
-from repro.storage.query import Query
 from repro.storage.results import ORDER_KEYS
 
-#: Process-wide coordinator serial for response-cache stamps: two
-#: coordinator instances must never produce colliding stamps.
-_COORD_SERIALS = itertools.count(1)
+#: Process-wide session serials for response-cache stamps (the
+#: :attr:`TrajectoryStore.serial <repro.storage.store.TrajectoryStore
+#: .serial>` idiom): a dropped, re-created or restored session — or
+#: the same name on another coordinator — never repeats a stamp.
+_SESSION_SERIALS = itertools.count(1)
 
 
 class _CoordSession:
     """Coordinator-side bookkeeping of one sharded session."""
 
     def __init__(self, name: str, shard_count: int,
-                 router: Callable[[int], int]) -> None:
+                 router: Callable[[int], int],
+                 space_name: Optional[str] = None) -> None:
         self.name = name
-        self.space_name: Optional[str] = None
+        self.space_name = space_name
         self.doc_count = 0
         self.topology = ShardTopology(shard_count, router)
-        #: Bumped per ingest batch / restore — the cache-stamp
-        #: component standing in for the stores' versions.
+        #: Unique per session object — the cache-stamp component
+        #: standing in for the stores' serials.
+        self.serial = next(_SESSION_SERIALS)
+        #: Bumped per ingest batch — the cache-stamp component
+        #: standing in for the stores' versions.
         self.generation = 0
         #: Serializes ingestion so global ids are assigned in order.
         self.ingest_lock = threading.Lock()
@@ -125,17 +144,19 @@ class _StatsProxy:
     *explaining* (cardinalities, corpus size, time span); the fetch
     closures the plan builds are lazy and never fire during
     ``explain()``, so no document access is needed — the coordinator
-    plans the logical corpus from summed per-shard statistics alone.
+    plans the logical corpus from its merged ``StoreStats`` alone.
     """
 
-    def __init__(self, doc_count: int, states: Dict[str, int],
-                 annotations: Dict, mos: Dict[str, int],
-                 time_span: Optional[Tuple[float, float]]) -> None:
-        self._doc_count = doc_count
-        self._states = states
-        self._annotations = annotations
-        self._mos = mos
-        self._time_span = time_span
+    def __init__(self, stats: P.StoreStatsInfo) -> None:
+        from repro.core.annotations import AnnotationKind
+
+        self._doc_count = stats.doc_count
+        self._states = stats.states
+        self._annotations = {(AnnotationKind(kind), value): count
+                             for kind, value, count in stats.annotations}
+        self._mos = stats.mos
+        self._time_span = None if stats.time_span is None \
+            else tuple(stats.time_span)
 
     def __len__(self) -> int:
         return self._doc_count
@@ -198,18 +219,6 @@ class _CoordStream:
         return min(self.shard_marks)
 
 
-class _CoordStreamTable:
-    """Duck-typed stand-in for the registry's ``_stream_manager``
-    attribute, so ``GET /v1/health`` reports stream gauges for a
-    sharded front-end through the same hook."""
-
-    def __init__(self, coordinator: "ShardCoordinator") -> None:
-        self._coordinator = coordinator
-
-    def report(self) -> Dict:
-        return self._coordinator._stream_report()
-
-
 class ShardCoordinator:
     """Scatter-gather engine over N shard executors.
 
@@ -267,15 +276,10 @@ class ShardCoordinator:
         self.router = router if router is not None \
             else self.ring.shard_of
         self.autosave = autosave
-        self._serial = next(_COORD_SERIALS)
         self._sessions: Dict[str, _CoordSession] = {}
         self._streams: Dict[Tuple[str, str], _CoordStream] = {}
-        # Health's stream hook (wire.health_payload duck-types the
-        # registry attribute of the same name).
-        self._stream_manager = _CoordStreamTable(self)
         self._lock = threading.Lock()
-        self._jobs: Dict[str, BuildJob] = {}
-        self._job_ids = itertools.count(1)
+        self._jobs = JobTable()
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, self.shard_count),
             thread_name_prefix="repro-shard")
@@ -289,6 +293,9 @@ class ShardCoordinator:
                              for _ in range(self.shard_count)]
         #: "shard-k/name" → restore failure message (local shards).
         self.restore_errors: Dict[str, str] = {}
+        #: Shards restore before the coordinator exists, so it is
+        #: never restoring (the Engine readiness attribute).
+        self.restoring = False
         self._discover_sessions()
 
     # ------------------------------------------------------------------
@@ -453,10 +460,7 @@ class ShardCoordinator:
         with self._lock:
             session = self._sessions.get(name)
         if session is None:
-            raise CommandError(
-                "unknown_session",
-                "no session named {!r}; sessions: {}".format(
-                    name, ", ".join(self.names()) or "(none)"))
+            raise unknown_session(name, self.names())
         return session
 
     def _create_session(self, name: str,
@@ -466,8 +470,7 @@ class ShardCoordinator:
             created = session is None
             if created:
                 session = _CoordSession(name, self.shard_count,
-                                        self.router)
-                session.space_name = space
+                                        self.router, space)
                 self._sessions[name] = session
             elif session.space_name is None and space is not None:
                 session.space_name = space
@@ -479,14 +482,20 @@ class ShardCoordinator:
                 session=name, docs=[], space=session.space_name))
         return session
 
-    def _adopt_layout(self, name: str, per_shard: List[int],
-                      space: Optional[str]) -> _CoordSession:
+    def _adopt_layout(self, name: str,
+                      infos: List[Optional[P.SessionInfo]]
+                      ) -> _CoordSession:
         """Adopt a session the shards already hold (discovery or
-        restore), validating the counts against the routing."""
-        session = _CoordSession(name, self.shard_count, self.router)
-        session.space_name = space
+        restore; one ``SessionInfo`` per shard, None where a shard
+        lacks it), validating the counts against the routing."""
+        per_shard = [0 if info is None else info.trajectories
+                     for info in infos]
+        space = next((info.space for info in infos
+                      if info is not None and info.space is not None),
+                     None)
+        session = _CoordSession(name, self.shard_count, self.router,
+                                space)
         session.doc_count = sum(per_shard)
-        session.generation = 1
         expected = session.topology.counts(session.doc_count)
         if expected != per_shard:
             raise ShardStateError(
@@ -508,40 +517,44 @@ class ShardCoordinator:
                 if name not in names:
                     names.append(name)
         for name in names:
-            counts = [len_of.get(name) for len_of in per_shard]
-            space = next((info.space for info in counts
-                          if info is not None
-                          and info.space is not None), None)
-            session = self._adopt_layout(
-                name,
-                [0 if info is None else info.trajectories
-                 for info in counts],
-                space)
+            infos = [shard_map.get(name) for shard_map in per_shard]
+            session = self._adopt_layout(name, infos)
             with self._lock:
                 self._sessions[name] = session
-            missing = [shard for shard, info in enumerate(counts)
+            missing = [shard for shard, info in enumerate(infos)
                        if info is None]
             if missing:
                 self._scatter([
                     P.IngestDocuments(session=name, docs=[],
-                                      space=space)
+                                      space=session.space_name)
                     if shard in missing else None
                     for shard in range(self.shard_count)])
 
     # ------------------------------------------------------------------
-    # engine surface (duck-typed hooks the front-ends consult)
+    # the Engine surface (repro.service.executor.Engine)
     # ------------------------------------------------------------------
-    def cache_stamp(self, session) -> Optional[Tuple]:
-        """Response-cache validity stamp (see
-        :meth:`ResponseCache.stamp
-        <repro.service.wire.ResponseCache.stamp>`)."""
-        if not isinstance(session, str):
-            return None
+    def execute_command(self, command: P.Command) -> P.Response:
+        """Run one command against the sharded engine through the
+        executor's :func:`~repro.service.executor.dispatch`, with the
+        command's deadline visible to every shard call it makes."""
+        previous = self._deadline()
+        self._deadlines.value = Deadline.of(command)
+        try:
+            return dispatch(_HANDLERS, self, command)
+        finally:
+            self._deadlines.value = previous
+
+    def finish_restore(self) -> None:
+        """Nothing to finish: the shards restored on construction."""
+
+    def cache_stamp(self, session: str) -> Optional[Tuple]:
+        """Response-cache validity stamp: the session's name, its
+        process-wide serial and its ingest generation."""
         with self._lock:
             held = self._sessions.get(session)
         if held is None:
             return None
-        return (session, self._serial, held.generation)
+        return (session, held.serial, held.generation)
 
     def health_roster(self) -> List[Dict]:
         """Per-session roster for ``GET /v1/health``."""
@@ -567,6 +580,36 @@ class ShardCoordinator:
         for target in self.targets:
             report.extend(target.report())
         return report
+
+    def stream_report(self) -> Dict:
+        """Aggregate stream gauges for ``GET /v1/health`` from the
+        coordinator's cached state (no shard round-trip; the late
+        counters are as of the last append or status poll)."""
+        with self._lock:
+            states = list(self._streams.values())
+        live = [state.watermark for state in states
+                if state.watermark is not None]
+        return {
+            "open": len(states),
+            "events_acked": sum(s.counters["events_acked"]
+                                for s in states),
+            "open_events": sum(sum(s.shard_open) for s in states),
+            "episodes_stored": sum(s.counters["episodes_stored"]
+                                   for s in states),
+            "late_events": sum(s.counters["late_events"]
+                               for s in states),
+            "dropped_late": sum(s.counters["dropped_late"]
+                                for s in states),
+            "watermark_min": min(live) if live else None,
+        }
+
+    def job(self, job_id: str) -> BuildJob:
+        """Lookup a build job by id (``JobStatus``).
+
+        Raises:
+            UnknownJobError: for unknown ids.
+        """
+        return self._jobs.get(job_id)
 
     def heal_replica(self, shard: int, replica: int) -> None:
         """Re-admit a replica to its shard's read rotation (called by
@@ -627,13 +670,10 @@ class ShardCoordinator:
     # builds (pipeline once, fan the sink out)
     # ------------------------------------------------------------------
     def _build(self, command: P.BuildDataset) -> P.Response:
-        if command.source not in ("louvre", "csv"):
-            raise CommandError(
-                "bad_request",
-                "unknown source {!r}; one of: louvre, csv".format(
-                    command.source))
-        if command.source == "csv" and not command.path:
-            raise CommandError("bad_request", "csv source needs a path")
+        try:
+            check_build_source(command.source, command.path)
+        except ValueError as error:
+            raise CommandError("bad_request", str(error))
         session = self._create_session(command.session,
                                        space="LouvreSpace")
         name = command.session
@@ -678,32 +718,10 @@ class ShardCoordinator:
                 finally:
                     session._building -= 1
 
-        with self._lock:
-            job = BuildJob("job-{}".format(next(self._job_ids)), name,
-                           target)
-            self._jobs[job.job_id] = job
-            finished = [job_id for job_id, held in self._jobs.items()
-                        if held.state in (JobState.DONE,
-                                          JobState.FAILED)]
-            for job_id in finished[:max(0, len(finished)
-                                        - MAX_FINISHED_JOBS)]:
-                del self._jobs[job_id]
-        job._start()
+        job = self._jobs.start(name, target)
         if command.wait:
             job.wait()
-        return P.JobInfo(job_id=job.job_id, session=job.session,
-                         state=job.state.value, error=job.error,
-                         metrics=P.JobInfo.metrics_dict(job.metrics))
-
-    def _job_status(self, command: P.JobStatus) -> P.Response:
-        with self._lock:
-            job = self._jobs.get(command.job_id)
-        if job is None:
-            raise CommandError("unknown_job",
-                               "no job {!r}".format(command.job_id))
-        return P.JobInfo(job_id=job.job_id, session=job.session,
-                         state=job.state.value, error=job.error,
-                         metrics=P.JobInfo.metrics_dict(job.metrics))
+        return job_info(job)
 
     # ------------------------------------------------------------------
     # session lifecycle commands
@@ -752,12 +770,8 @@ class ShardCoordinator:
                          command: P.RestoreSession) -> P.Response:
         restored = self._scatter_same(
             P.RestoreSession(session=command.session))
-        space = next((info.space for info in restored
-                      if info.space is not None), None)
         try:
-            session = self._adopt_layout(
-                command.session,
-                [info.trajectories for info in restored], space)
+            session = self._adopt_layout(command.session, restored)
         except ShardStateError as error:
             raise CommandError("persistence", str(error))
         with self._lock:
@@ -770,18 +784,6 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # RunQuery: translated cursors + k-way merge
     # ------------------------------------------------------------------
-    def _validate_query(self, query: Optional[Dict]) -> None:
-        """Parse-check a query payload with the executor's message
-        (parsing never touches the store, so no shard is needed)."""
-        if query is None:
-            return
-        try:
-            Query.from_dict(None, query)  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as error:
-            raise CommandError(
-                "bad_request",
-                "unparseable query: {}".format(error))
-
     def _shard_boundary(self, spec: PageSpec, boundary: Optional[Tuple],
                         last_doc_id: Optional[int],
                         globals_list: List[int]
@@ -948,7 +950,7 @@ class ShardCoordinator:
         # -- route: the executor's shared validation, verbatim
         session = self._held(command.session)
         spec = route_page(command)
-        self._validate_query(command.query)
+        parse_query(None, command.query)
         boundary, last_doc_id = decode_page_cursor(command, spec)
 
         # -- execute: translated per-shard streams, k-way merged.
@@ -997,73 +999,37 @@ class ShardCoordinator:
         return merged, missing
 
     # ------------------------------------------------------------------
-    # Explain: summed statistics + the stats proxy
+    # the single-scatter reads, Explain and mining
     # ------------------------------------------------------------------
-    def _combined_stats(self, name: str) -> _StatsProxy:
-        from repro.core.annotations import AnnotationKind
-
-        replies = self._scatter_same(P.StoreStats(session=name))
-        doc_count = 0
-        states: Dict[str, int] = {}
-        mos: Dict[str, int] = {}
-        annotations: Dict = {}
-        span: Optional[List[float]] = None
-        for reply in replies:
-            doc_count += reply.doc_count
-            for state, count in reply.states.items():
-                states[state] = states.get(state, 0) + count
-            for mo, count in reply.mos.items():
-                mos[mo] = mos.get(mo, 0) + count
-            for kind, value, count in reply.annotations:
-                key = (AnnotationKind(kind), value)
-                annotations[key] = annotations.get(key, 0) + count
-            if reply.time_span is not None:
-                if span is None:
-                    span = list(reply.time_span)
-                else:
-                    span[0] = min(span[0], reply.time_span[0])
-                    span[1] = max(span[1], reply.time_span[1])
-        return _StatsProxy(doc_count, states, annotations, mos,
-                           None if span is None else tuple(span))
+    def _scatter_read(self, command: P.Command) -> P.Response:
+        """A declared single-scatter read: the command's partial on
+        every shard, then the shared merge
+        (:data:`~repro.service.executor.SCATTER_READS`).  Under
+        ``allow_partial`` a lost shard degrades the merge instead of
+        failing it."""
+        self._held(command.session)
+        partial, merge = SCATTER_READS[type(command)]
+        missing: List[int] = []
+        replies = self._scatter(
+            [partial(command)] * self.shard_count,
+            partial=getattr(command, "allow_partial", False),
+            missing=missing)
+        response = merge([reply for reply in replies
+                          if reply is not None])
+        if missing:
+            response = replace(response,
+                               degraded=self._degraded(missing))
+        return response
 
     def _explain(self, command: P.Explain) -> P.Response:
-        self._held(command.session)
-        proxy = self._combined_stats(command.session)
-        try:
-            if command.query is None:
-                query = Query(proxy)  # type: ignore[arg-type]
-            else:
-                query = Query.from_dict(
-                    proxy, command.query)  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as error:
-            raise CommandError(
-                "bad_request",
-                "unparseable query: {}".format(error))
+        stats = self._scatter_read(P.StoreStats(session=command.session))
+        query = parse_query(_StatsProxy(stats), command.query)
         return P.Explanation(plan=query.explain())
 
-    def _store_stats(self, command: P.StoreStats) -> P.Response:
-        self._held(command.session)
-        proxy = self._combined_stats(command.session)
-        annotations = [[kind.value, value, count]
-                       for (kind, value), count
-                       in proxy.annotation_cardinalities().items()]
-        annotations.sort(key=lambda item: (item[0], repr(item[1])))
-        span = proxy.time_span()
-        return P.StoreStatsInfo(
-            doc_count=len(proxy),
-            states=proxy.state_cardinalities(),
-            annotations=annotations,
-            mos=proxy.mo_cardinalities(),
-            time_span=None if span is None else list(span))
-
-    # ------------------------------------------------------------------
-    # mining: partial aggregates + combine
-    # ------------------------------------------------------------------
     def _mine_patterns(self, command: P.MinePatterns) -> P.Response:
-        session = self._held(command.session)
-        probe = self._scatter_same(P.CountPatterns(
-            session=command.session, query=command.query))
-        total = sum(reply.sequences for reply in probe)
+        count = P.CountPatterns(session=command.session,
+                                query=command.query)
+        total = self._scatter_read(count).sequences
         if total == 0:
             # patterns_over returns [] for an empty corpus before any
             # parameter validation — mirrored for byte parity.
@@ -1071,11 +1037,7 @@ class ShardCoordinator:
         if command.max_length < 1:
             raise CommandError("bad_request",
                                "max_length must be at least 1")
-        if command.min_support >= 1:
-            support = int(command.min_support)
-        else:
-            support = max(2, int(math.ceil(command.min_support
-                                           * total)))
+        support = support_threshold(command.min_support, total)
         # Pigeonhole: a pattern with global support >= S has local
         # support >= ceil(S / N) on at least one shard, so mining
         # every shard at the lowered threshold finds every candidate.
@@ -1089,26 +1051,15 @@ class ShardCoordinator:
                              for pattern in reply.patterns})
         if not candidates:
             return P.PatternList(patterns=[])
-        recount = self._scatter_same(P.CountPatterns(
-            session=command.session, query=command.query,
-            patterns=[list(candidate) for candidate in candidates]))
-        patterns = []
-        for index, candidate in enumerate(candidates):
-            count = sum(reply.supports[index] for reply in recount)
-            if count >= support:
-                patterns.append(SequentialPattern(
-                    sequence=candidate, support=count))
+        recount = self._scatter_read(replace(
+            count, patterns=[list(candidate)
+                             for candidate in candidates]))
+        patterns = [SequentialPattern(sequence=candidate, support=found)
+                    for candidate, found
+                    in zip(candidates, recount.supports)
+                    if found >= support]
         patterns.sort(key=lambda p: (-p.support, p.sequence))
         return P.PatternList(patterns=patterns)
-
-    def _count_patterns(self, command: P.CountPatterns) -> P.Response:
-        self._held(command.session)
-        replies = self._scatter_same(command)
-        supports = [sum(reply.supports[index] for reply in replies)
-                    for index in range(len(command.patterns))]
-        return P.PatternSupports(
-            supports=supports,
-            sequences=sum(reply.sequences for reply in replies))
 
     def _similarity(self, command: P.Similarity) -> P.Response:
         session = self._held(command.session)
@@ -1138,46 +1089,10 @@ class ShardCoordinator:
     def _similarity_block(self,
                           command: P.SimilarityBlock) -> P.Response:
         self._held(command.session)
-        size = len(command.sequences)
-        if not 0 <= command.row_start <= command.row_end <= size:
-            raise CommandError(
-                "bad_request",
-                "row block [{}, {}) out of range for {} "
-                "sequences".format(command.row_start,
-                                   command.row_end, size))
+        check_row_block(command)
         # The sequences are explicit and the hierarchy identical on
         # every shard — any one shard computes the exact block.
         return self._call(0, command)
-
-    def _flow(self, command: P.Flow) -> P.Response:
-        from repro.mining.flow import FlowBalance
-
-        self._held(command.session)
-        missing: List[int] = []
-        replies = self._scatter([command] * self.shard_count,
-                                partial=command.allow_partial,
-                                missing=missing)
-        inflow: Dict[str, int] = {}
-        outflow: Dict[str, int] = {}
-        starts: Dict[str, int] = {}
-        ends: Dict[str, int] = {}
-        for reply in replies:
-            if reply is None:
-                continue
-            for balance in reply.balances:
-                state = balance.state
-                inflow[state] = inflow.get(state, 0) + balance.inflow
-                outflow[state] = outflow.get(state, 0) \
-                    + balance.outflow
-                starts[state] = starts.get(state, 0) \
-                    + balance.started_here
-                ends[state] = ends.get(state, 0) + balance.ended_here
-        balances = [FlowBalance(state, inflow[state], outflow[state],
-                                starts[state], ends[state])
-                    for state in inflow]
-        balances.sort(key=lambda b: (-abs(b.imbalance), b.state))
-        return P.FlowList(balances=balances,
-                          degraded=self._degraded(missing))
 
     def _sequences(self, command: P.Sequences) -> P.Response:
         session = self._held(command.session)
@@ -1188,87 +1103,9 @@ class ShardCoordinator:
         return P.SequenceList(sequences=sequences,
                               degraded=self._degraded(missing))
 
-    def _summary_parts(self, command: P.SummaryParts,
-                       partial: bool = False
-                       ) -> Tuple[int, List[str], int, int,
-                                  Optional[float], Optional[float],
-                                  List[int]]:
-        missing: List[int] = []
-        replies = self._scatter(
-            [P.SummaryParts(session=command.session,
-                            query=command.query)] * self.shard_count,
-            partial=partial, missing=missing)
-        replies = [reply for reply in replies if reply is not None]
-        visits = sum(reply.visits for reply in replies)
-        mo_ids: set = set()
-        for reply in replies:
-            mo_ids.update(reply.mo_ids)
-        detections = sum(reply.detections for reply in replies)
-        transitions = sum(reply.transitions for reply in replies)
-        maxima = [reply.max_visit_duration for reply in replies
-                  if reply.max_visit_duration is not None]
-        minima = [reply.min_visit_duration for reply in replies
-                  if reply.min_visit_duration is not None]
-        return (visits, sorted(mo_ids), detections, transitions,
-                max(maxima) if maxima else None,
-                min(minima) if minima else None, missing)
-
-    def _summary(self, command: P.Summary) -> P.Response:
-        self._held(command.session)
-        (visits, mo_ids, detections, transitions, longest, shortest,
-         missing) = self._summary_parts(
-            P.SummaryParts(session=command.session,
-                           query=command.query),
-            partial=command.allow_partial)
-        degraded = self._degraded(missing)
-        if visits == 0:
-            # corpus_summary's exact empty shape (int/float split
-            # matters for canonical JSON).
-            return P.SummaryStats(stats={
-                "visits": 0, "visitors": 0, "detections": 0,
-                "transitions": 0, "max_visit_duration": 0.0,
-                "min_visit_duration": 0.0}, degraded=degraded)
-        return P.SummaryStats(stats={
-            "visits": visits, "visitors": len(mo_ids),
-            "detections": detections, "transitions": transitions,
-            "max_visit_duration": longest,
-            "min_visit_duration": shortest}, degraded=degraded)
-
-    def _summary_parts_command(self,
-                               command: P.SummaryParts) -> P.Response:
-        self._held(command.session)
-        (visits, mo_ids, detections, transitions, longest, shortest,
-         _missing) = self._summary_parts(command)
-        return P.SummaryPartsInfo(
-            visits=visits, mo_ids=mo_ids, detections=detections,
-            transitions=transitions, max_visit_duration=longest,
-            min_visit_duration=shortest)
-
     # ------------------------------------------------------------------
     # streams: relayed shard segmentation, routed episode harvest
     # ------------------------------------------------------------------
-    def _stream_report(self) -> Dict:
-        """Aggregate stream gauges for ``GET /v1/health`` from the
-        coordinator's cached state (no shard round-trip; the late
-        counters are as of the last append or status poll)."""
-        with self._lock:
-            states = list(self._streams.values())
-        live = [state.watermark for state in states
-                if state.watermark is not None]
-        return {
-            "open": len(states),
-            "events_acked": sum(s.counters["events_acked"]
-                                for s in states),
-            "open_events": sum(sum(s.shard_open) for s in states),
-            "episodes_stored": sum(s.counters["episodes_stored"]
-                                   for s in states),
-            "late_events": sum(s.counters["late_events"]
-                               for s in states),
-            "dropped_late": sum(s.counters["dropped_late"]
-                                for s in states),
-            "watermark_min": min(live) if live else None,
-        }
-
     def _stream_state(self, session_name: str, stream: str,
                       statuses: Optional[List[Dict]] = None
                       ) -> _CoordStream:
@@ -1284,10 +1121,7 @@ class ShardCoordinator:
         try:
             session = self._held(session_name)
         except CommandError:
-            raise CommandError(
-                "unknown_stream",
-                "no stream {!r} on session {!r}".format(
-                    stream, session_name))
+            raise unknown_stream(session_name, stream)
         if statuses is None:
             replies = self._scatter_same(P.StreamStatus(
                 session=session_name, stream=stream))
@@ -1374,16 +1208,7 @@ class ShardCoordinator:
                        if reply is not None])
 
     def _open_stream(self, command: P.OpenStream) -> P.Response:
-        if command.checkpoint_every < 1:
-            raise CommandError("bad_request",
-                               "checkpoint_every must be >= 1")
-        if command.max_open_events < 1:
-            raise CommandError("bad_request",
-                               "max_open_events must be >= 1")
-        if command.gap_seconds is not None \
-                and command.gap_seconds <= 0:
-            raise CommandError("bad_request",
-                               "gap_seconds must be > 0")
+        check_open_stream(command)
         session = self._create_session(command.session)
         replies = self._scatter_same(replace(command, relay=True))
         statuses = [reply.status for reply in replies]
@@ -1497,110 +1322,41 @@ class ShardCoordinator:
             events_acked=sum(reply.events_acked
                              for reply in replies))
 
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    _HANDLERS: Dict = {}
-
-    def execute_command(self, command: P.Command) -> P.Response:
-        """Run one command against the sharded engine.
-
-        The same contract as :func:`~repro.service.executor
-        .execute_command`: expected failures — including error replies
-        relayed from a shard — come back as ``ErrorInfo``; genuine
-        bugs propagate.
-        """
-        from repro.storage.expr import ExprSerializationError
-
-        handler = self._HANDLERS.get(type(command))
-        if handler is None:
-            return P.ErrorInfo(
-                code="bad_request",
-                message="unhandled command {!r}".format(command.kind))
-        if command.deadline_ms is not None and command.deadline_ms <= 0:
-            # Mirrors the executor's check byte for byte.
-            return P.ErrorInfo(
-                code="deadline_exceeded",
-                message="deadline expired before execution began")
-        previous = getattr(self._deadlines, "value", None)
-        self._deadlines.value = Deadline.of(command)
-        try:
-            return handler(self, command)
-        except CommandError as error:
-            return P.ErrorInfo(code=error.code, message=error.message)
-        except DeadlineExceeded as error:
-            return P.ErrorInfo(code="deadline_exceeded",
-                               message=str(error))
-        except ReplicaUnavailable as error:
-            return P.ErrorInfo(code="unavailable", message=str(error))
-        except P.ServiceError as error:
-            # A shard's error reply, relayed verbatim.
-            return P.ErrorInfo(code=error.code, message=error.message)
-        except ExprSerializationError as error:
-            return P.ErrorInfo(code="unserializable",
-                               message=str(error))
-        except P.ProtocolError as error:
-            return P.ErrorInfo(code="protocol", message=str(error))
-        finally:
-            self._deadlines.value = previous
-
-    def execute_command_safely(self,
-                               command: P.Command) -> P.Response:
-        """:meth:`execute_command` with the wire-boundary
-        catch-all."""
-        try:
-            return self.execute_command(command)
-        except Exception as error:
-            return P.ErrorInfo(
-                code="internal",
-                message="{}: {}".format(type(error).__name__, error))
-
-
-class _FanoutSinkStage:
+class _FanoutSinkStage(Stage):
     """Pipeline sink routing built trajectories to the shards.
 
-    Takes :class:`~repro.pipeline.engine.Stage`'s place at the end of
-    the build chain (imported lazily to keep module import light);
+    Takes the store sink's place at the end of the build chain;
     batches arrive in stream order, so global ids are assigned exactly
     as a single-process store sink would.
     """
 
-    def __new__(cls, coordinator: ShardCoordinator,
-                session: _CoordSession):
-        from repro.pipeline.engine import Stage
+    name = "shard-fanout"
 
-        class _Sink(Stage):
-            name = "shard-fanout"
+    def __init__(self, coordinator: ShardCoordinator,
+                 session: _CoordSession) -> None:
+        super().__init__()
+        self._coordinator = coordinator
+        self._session = session
 
-            def __init__(self) -> None:
-                super().__init__()
-
-            def process(self, batch):
-                coordinator._ingest_locked(
-                    session,
-                    [trajectory.to_dict() for trajectory in batch])
-                return list(batch)
-
-        return _Sink()
+    def process(self, batch):
+        self._coordinator._ingest_locked(
+            self._session, [trajectory.to_dict() for trajectory in batch])
+        return list(batch)
 
 
-ShardCoordinator._HANDLERS = {
+_HANDLERS: Dict[type, Callable] = {
+    **{kind: ShardCoordinator._scatter_read for kind in SCATTER_READS},
     P.BuildDataset: ShardCoordinator._build,
-    P.JobStatus: ShardCoordinator._job_status,
+    P.JobStatus: job_status,
     P.ListSessions: ShardCoordinator._list_sessions,
     P.DropSession: ShardCoordinator._drop_session,
     P.RunQuery: ShardCoordinator._run_query,
     P.Explain: ShardCoordinator._explain,
     P.MinePatterns: ShardCoordinator._mine_patterns,
     P.Similarity: ShardCoordinator._similarity,
-    P.Flow: ShardCoordinator._flow,
     P.Sequences: ShardCoordinator._sequences,
-    P.Summary: ShardCoordinator._summary,
     P.IngestDocuments: ShardCoordinator._ingest_documents,
-    P.CountPatterns: ShardCoordinator._count_patterns,
     P.SimilarityBlock: ShardCoordinator._similarity_block,
-    P.SummaryParts: ShardCoordinator._summary_parts_command,
-    P.StoreStats: ShardCoordinator._store_stats,
     P.SaveSession: ShardCoordinator._save_session,
     P.RestoreSession: ShardCoordinator._restore_session,
     P.OpenStream: ShardCoordinator._open_stream,

@@ -30,7 +30,6 @@ from repro.stream.manager import (
     StreamManager,
     StreamOverloadedError,
     UnknownStreamError,
-    stream_manager,
 )
 from repro.stream.segmenter import (
     StreamMetrics,
@@ -49,5 +48,4 @@ __all__ = [
     "bounded_iter",
     "event_from_dict",
     "event_to_dict",
-    "stream_manager",
 ]

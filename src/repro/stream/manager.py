@@ -399,7 +399,9 @@ class ServerStream:
 
 
 class StreamManager:
-    """The registry's stream table (created lazily per registry).
+    """The registry's stream table (created lazily by
+    :meth:`SessionRegistry.stream_manager
+    <repro.service.registry.SessionRegistry.stream_manager>`).
 
     Keyed by ``(session, stream)``.  Streams of durable sessions get
     a journal + checkpoint sidecar and are **recovered lazily**: a
@@ -505,7 +507,7 @@ class StreamManager:
                       stream: str) -> Optional[str]:
         """The stream's on-disk sidecar directory, or ``None`` when
         absent (mirrors the registry's percent-quoted layout)."""
-        persist_dir = getattr(self.registry, "persist_dir", None)
+        persist_dir = self.registry.persist_dir
         if persist_dir is None:
             return None
         from urllib.parse import quote
@@ -565,21 +567,3 @@ class StreamManager:
             "watermark_min": (min(watermarks) if watermarks
                               else None),
         }
-
-
-#: Per-registry manager table — attached lazily so the registry
-#: module never imports this one (the service layer stays free of a
-#: stream dependency until a stream command actually arrives).
-_MANAGERS_LOCK = threading.Lock()
-
-
-def stream_manager(registry) -> StreamManager:
-    """The (lazily created) stream manager of a registry."""
-    manager = getattr(registry, "_stream_manager", None)
-    if manager is None:
-        with _MANAGERS_LOCK:
-            manager = getattr(registry, "_stream_manager", None)
-            if manager is None:
-                manager = StreamManager(registry)
-                registry._stream_manager = manager
-    return manager

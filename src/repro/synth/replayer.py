@@ -3,8 +3,8 @@
 :class:`TrafficReplayer` takes any event-time-ordered detection
 stream (usually :meth:`CrowdSynthesizer.iter_events
 <repro.synth.crowd.CrowdSynthesizer.iter_events>`) and drives a
-service endpoint — the asyncio front-end, the threaded server, or a
-sharded coordinator behind either — in three modes:
+service endpoint — the asyncio front-end over a session registry or
+a sharded coordinator — in three modes:
 
 * **batch** — a local :class:`~repro.stream.WatermarkSegmenter` turns
   the stream into closed episodes exactly as the server's stream path

@@ -2,8 +2,8 @@
 per-shard saturation section."""
 
 from repro.service import protocol as P
-from repro.service.registry import SessionRegistry
-from repro.service.wire import health_payload, wal_report
+from repro.service.registry import SessionRegistry, wal_report
+from repro.service.wire import health_payload
 
 
 class _FakeWal:

@@ -8,7 +8,9 @@ import urllib.request
 
 import pytest
 
+from repro.service import protocol as P
 from repro.service.aserver import AsyncServiceServer
+from repro.service.executor import Engine
 from repro.service.registry import SessionRegistry
 from repro.service.wire import ready_payload
 
@@ -23,17 +25,41 @@ def fetch_ready(url):
 
 
 class BreakerStub:
-    """Duck-types the coordinator surface ``ready_payload`` reads."""
+    """An :class:`Engine` with no sessions whose replica breakers
+    are in the given states."""
 
     restoring = False
+    restore_errors = {}
 
     def __init__(self, states):
         self._states = states
+
+    def execute_command(self, command):
+        return P.ErrorInfo(code="unavailable", message="stub engine")
+
+    def finish_restore(self):
+        pass
+
+    def cache_stamp(self, session):
+        return None
+
+    def health_roster(self):
+        return []
+
+    def shard_report(self):
+        return None
 
     def breaker_report(self):
         return [{"shard": 0, "replica": index, "state": state,
                  "failures": 0, "trips": 0}
                 for index, state in enumerate(self._states)]
+
+    def stream_report(self):
+        return None
+
+
+def test_breaker_stub_is_an_engine():
+    assert isinstance(BreakerStub([]), Engine)
 
 
 class TestReadyPayload:

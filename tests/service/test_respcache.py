@@ -195,7 +195,7 @@ class TestSpaceGeneration:
 
 
 class TestCoordinatorStamp:
-    """The duck-typed ``cache_stamp`` hook: a shard coordinator's
+    """The coordinator's ``Engine.cache_stamp``: a shard coordinator's
     responses cache and invalidate like a registry's."""
 
     def test_coordinator_reads_hit_until_ingest(self):
@@ -225,3 +225,52 @@ class TestCoordinatorStamp:
 
         coordinator = ShardCoordinator.local(1)
         assert coordinator.cache_stamp("ghost") is None
+
+    def test_replaced_session_does_not_serve_old_bytes(self):
+        """A dropped and re-created session restarts its ingest
+        generation; its process-wide serial must still change the
+        stamp."""
+        from repro.shard import ShardCoordinator
+
+        docs = [t.to_dict() for t in
+                build_registry(scale=0.03).get("s").workbench.store]
+        coordinator = ShardCoordinator.local(2)
+        coordinator.execute_command(
+            P.IngestDocuments(session="s", docs=docs[:40]))
+        cache = ResponseCache()
+        raw = P.Summary(session="s").to_json()
+        status, before = serve(coordinator, raw, cache)
+        assert status == 200
+        coordinator.execute_command(P.DropSession(session="s"))
+        coordinator.execute_command(
+            P.IngestDocuments(session="s", docs=docs[40:100]))
+        status, after = serve(coordinator, raw, cache)
+        assert cache.hits == 0
+        assert json.loads(before)["stats"]["visits"] == 40
+        assert json.loads(after)["stats"]["visits"] == 60
+
+    def test_restored_session_does_not_serve_old_bytes(self, tmp_path):
+        """A restore adopts a new session object whose stamp differs
+        from every stamp the replaced one issued."""
+        from repro.shard import ShardCoordinator
+
+        docs = [t.to_dict() for t in
+                build_registry(scale=0.03).get("s").workbench.store]
+        coordinator = ShardCoordinator.local(
+            2, persist_dir=str(tmp_path), fsync=False)
+        coordinator.execute_command(
+            P.IngestDocuments(session="s", docs=docs[:20]))
+        cache = ResponseCache()
+        raw = P.Summary(session="s").to_json()
+        status, before = serve(coordinator, raw, cache)
+        assert status == 200
+        coordinator.execute_command(
+            P.IngestDocuments(session="s", docs=docs[20:40]))
+        coordinator.execute_command(P.SaveSession(session="s"))
+        restored = coordinator.execute_command(
+            P.RestoreSession(session="s"))
+        assert restored.trajectories == 40
+        status, after = serve(coordinator, raw, cache)
+        assert cache.hits == 0
+        assert json.loads(before)["stats"]["visits"] == 20
+        assert json.loads(after)["stats"]["visits"] == 40

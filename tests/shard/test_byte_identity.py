@@ -36,6 +36,12 @@ def reference(corpus_docs):
     return binding.registry
 
 
+#: A query no document matches, and a time window matching some.
+NO_MATCH = {"expr": {"op": "state", "state": "no-such-zone"}}
+WINDOW = {"expr": {"op": "window", "start": 1488000000.0,
+                   "end": 1492000000.0}}
+
+
 def wire(engine, command):
     """(status, body) for one command at the wire layer."""
     return execute_json(engine, command.to_json())
@@ -73,6 +79,60 @@ COMMANDS = [
     P.MinePatterns(session=SESSION, min_support=0.2, max_length=0),
     P.RunQuery(session=SESSION,
                query={"expr": {"op": "no-such-op"}}),
+    # The single-scatter reads' partials and merges, the shared
+    # validators and the shared dispatch, each pinned by name.
+    pytest.param(P.StoreStats(session=SESSION), id="StoreStats"),
+    pytest.param(P.SummaryParts(session=SESSION, query=WINDOW),
+                 id="SummaryParts-windowed"),
+    pytest.param(P.CountPatterns(session=SESSION, patterns=[
+        ["zone60886"], ["zone60886", "zone60887"], ["no-such-zone"]]),
+        id="CountPatterns"),
+    pytest.param(P.Summary(session=SESSION, query=NO_MATCH),
+                 id="Summary-no-match"),
+    pytest.param(P.Flow(session=SESSION, query=NO_MATCH),
+                 id="Flow-no-match"),
+    pytest.param(P.Sequences(session=SESSION, query=NO_MATCH),
+                 id="Sequences-no-match"),
+    pytest.param(P.Similarity(session=SESSION, query=NO_MATCH),
+                 id="Similarity-no-match"),
+    pytest.param(P.MinePatterns(session=SESSION, query=NO_MATCH,
+                                max_length=0),
+                 id="MinePatterns-no-match-max-length-0"),
+    pytest.param(P.MinePatterns(session=SESSION, min_support=-1,
+                                max_length=2),
+                 id="MinePatterns-negative-support"),
+    pytest.param(P.Explain(session=SESSION,
+                           query={"expr": {"op": "no-such-op"}}),
+                 id="Explain-bad-expression"),
+    pytest.param(P.Explain(session="nope"), id="Explain-unknown-session"),
+    pytest.param(P.Flow(session="nope"), id="Flow-unknown-session"),
+    pytest.param(P.Similarity(session="nope"),
+                 id="Similarity-unknown-session"),
+    pytest.param(P.MinePatterns(session="nope"),
+                 id="MinePatterns-unknown-session"),
+    pytest.param(P.SimilarityBlock(session=SESSION,
+                                   sequences=[["zone60886"]],
+                                   row_start=0, row_end=2),
+                 id="SimilarityBlock-out-of-range"),
+    pytest.param(P.OpenStream(session=SESSION, stream="feed",
+                              checkpoint_every=0),
+                 id="OpenStream-checkpoint-every-0"),
+    pytest.param(P.StreamStatus(session=SESSION, stream="no-such-stream"),
+                 id="StreamStatus-unknown-stream"),
+    pytest.param(P.JobStatus(job_id="job-999"), id="JobStatus-unknown-job"),
+    pytest.param(P.DropSession(session="nope"),
+                 id="DropSession-unknown-session"),
+    pytest.param(P.SaveSession(session="nope"),
+                 id="SaveSession-unknown-session"),
+    pytest.param(P.Summary(session=SESSION).with_deadline(0),
+                 id="Summary-spent-deadline"),
+    pytest.param(P.RunQuery(session=SESSION, offset=-1),
+                 id="RunQuery-negative-offset"),
+    pytest.param(P.RunQuery(session=SESSION, query=NO_MATCH),
+                 id="RunQuery-no-match"),
+    pytest.param(P.CountPatterns(session=SESSION, query=NO_MATCH,
+                                 patterns=[["zone60886"]]),
+                 id="CountPatterns-no-match"),
 ]
 
 

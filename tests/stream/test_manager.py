@@ -24,7 +24,6 @@ from repro.stream.manager import (
     StreamManager,
     StreamOverloadedError,
     UnknownStreamError,
-    stream_manager,
 )
 from repro.stream.segmenter import event_to_dict
 from tests.stream.test_segmenter import content_bytes, interleave
@@ -58,7 +57,7 @@ def persist_dir(tmp_path):
 
 def make_manager(persist_dir=None):
     registry = SessionRegistry(persist_dir=persist_dir, fsync=False)
-    return registry, stream_manager(registry)
+    return registry, registry.stream_manager()
 
 
 class TestLifecycle:
