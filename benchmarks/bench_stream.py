@@ -12,7 +12,10 @@ corpus replayed as an interleaved event-time stream it measures
   benches): sustained events/s, episode throughput, and the
   bounded-memory guard — the tracemalloc peak across the whole
   replay plus the largest open-event buffer the watermark ever left
-  behind, both of which must stay O(gap window), not O(corpus);
+  behind, both of which must stay O(gap window), not O(corpus) — and
+  so must the last fold's state file (``state_bytes``) and the
+  visitors whose repair state the segmenter still holds
+  (``repair_visitors``);
 * ``backpressure`` — ``bounded_iter`` throughput with the ``block``
   policy (items/s through a capacity-64 buffer and how often the
   producer was actually throttled).
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -41,6 +45,7 @@ from repro.louvre import (
 from repro.service import protocol as P
 from repro.service.registry import SessionRegistry
 from repro.stream import WatermarkSegmenter, bounded_iter
+from repro.stream.manager import STATE_NAME
 from repro.stream.segmenter import event_to_dict
 from repro.synth.pacing import ArrivalSchedule
 
@@ -108,6 +113,11 @@ def bench_stream_ingest(records, base: str,
         assert not isinstance(ack, P.ErrorInfo), ack
         episodes += ack.episodes_closed
         peak_open = max(peak_open, ack.open_events)
+    # The last fold's sidecar, read before the close retires it.
+    live = registry.stream_manager().get(session, stream)
+    state_bytes = os.path.getsize(os.path.join(live.directory,
+                                               STATE_NAME))
+    repair_visitors = live.segmenter.repair_visitors
     closed = registry.execute_command(P.CloseStream(session=session,
                                                     stream=stream))
     seconds = time.perf_counter() - started
@@ -127,6 +137,9 @@ def bench_stream_ingest(records, base: str,
             "episodes_per_s": closed.episodes_total / seconds,
             "peak_open_events": peak_open,
             "traced_peak_mb": traced_peak / 1e6,
+            "checkpoints": live.checkpoints,
+            "state_bytes": state_bytes,
+            "repair_visitors": repair_visitors,
         },
     }
 

@@ -540,7 +540,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             server = None
             return 1
         # Serve from a background thread so liveness answers during
-        # the restore; GET /v1/ready stays 503 until it finishes.
+        # the restore and the startup build; GET /v1/ready stays 503
+        # until both finish, so a probe gated on readiness never sees
+        # a half-built session.  (A --lazy build is polled through
+        # JobStatus instead.)
+        if not args.empty and not args.lazy:
+            server.starting = "preparing session {!r}".format(
+                args.session)
         server.start()
         engine.finish_restore()
         for name, message in engine.restore_errors.items():
@@ -585,6 +591,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                              P.ListSessions()).sessions}
                 print("session {!r}: {} trajectories".format(
                     args.session, built.get(args.session, 0)))
+        server.starting = None
         if pool is not None:
             supervisor = pool.supervisor(engine).start()
         if args.shards:

@@ -5,8 +5,9 @@ plus its sequence number and a checksum over both::
 
     {**body, "crc": "<sha256[:16] of {**body, "seq": N}>", "seq": N}
 
-(keys sorted, canonical JSON).  Two record kinds share the format and
-all of the machinery below:
+(keys sorted, canonical JSON; every body key sorts after ``crc``, so
+one encoding per append yields both the checksum and the line).  Two
+record kinds share the format and all of the machinery below:
 
 * :class:`WriteAheadLog` — a session's trajectory batches, bodies
   ``{"docs": [...]}`` of :meth:`SemanticTrajectory.to_dict
@@ -70,9 +71,24 @@ def record_crc(body: dict, seq: int) -> str:
 
 
 def record_line(body: dict, seq: int) -> bytes:
-    """The exact bytes one record occupies in a log file."""
-    return canonical_json({**body, "crc": record_crc(body, seq),
-                           "seq": seq}) + b"\n"
+    """The exact bytes one record occupies in a log file:
+    ``canonical_json({**body, "crc": crc, "seq": seq})`` plus a
+    newline, from one encoding of ``{**body, "seq": seq}`` — the
+    bytes the checksum covers, with ``crc`` spliced in first.
+
+    Raises:
+        ValueError: for a body key sorting at or before ``"crc"``
+            (the splice would put ``crc`` out of sorted order).
+    """
+    for key in body:
+        if key <= "crc":
+            raise ValueError("record body key {!r} does not sort after "
+                             "'crc'".format(key))
+    raw = canonical_json({**body, "seq": seq})
+    crc = hashlib.sha256(raw).hexdigest()[:16].encode("ascii")
+    # One join, no slice copy: a batch record can be megabytes.
+    return b"".join((b'{"crc":"', crc, b'",', memoryview(raw)[1:],
+                     b"\n"))
 
 
 class RecordLog:
@@ -215,14 +231,16 @@ class RecordLog:
 
         Raises:
             PersistError: when the flush carrying this record fails.
+            ValueError: for a body :func:`record_line` cannot encode.
         """
         with self._commit:
             seq = self._next_seq
-            self._next_seq = seq + 1
             # Encoded under the mutex: lines must enter the queue in
             # sequence order, or a flush could persist a gap-free
             # file whose sequences run backwards (replay would stop).
+            # A body record_line rejects takes no sequence.
             self._pending.append(record_line(body, seq))
+            self._next_seq = seq + 1
             self._pending_last_seq = seq
             while True:
                 if self._committed_seq >= seq:

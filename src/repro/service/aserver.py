@@ -159,6 +159,10 @@ class AsyncServiceServer:
         self.max_inflight = max(1, int(max_inflight))
         self.drain_timeout = drain_timeout
         self.cache = ResponseCache() if response_cache else None
+        #: What the owner is still preparing before this server should
+        #: take traffic (a startup build), or None; while set,
+        #: ``GET /v1/ready`` answers 503 with it among the reasons.
+        self.starting: Optional[str] = None
 
         # IPPROTO_TCP, not 0: accepted sockets inherit the protocol,
         # and asyncio sets TCP_NODELAY only on sockets that name it —
@@ -344,6 +348,10 @@ class AsyncServiceServer:
             if method == b"GET":
                 if path == b"/v1/ready":
                     status, payload = ready_payload(self.registry)
+                    if self.starting is not None:
+                        status = 503
+                        payload["ready"] = False
+                        payload["reasons"].append(self.starting)
                     await self._enqueue(queue, _response_bytes(
                         status, P.canonical_json(payload)))
                     continue

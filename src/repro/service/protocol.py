@@ -114,6 +114,18 @@ def canonical_json(data: object) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
+def splice_json(fields: Mapping, key: str, raw: bytes) -> bytes:
+    """``canonical_json({**fields, key: value})`` for a ``value``
+    whose canonical bytes are already ``raw``: the fields are encoded
+    around it and ``raw`` goes in at ``key``'s sorted position."""
+    before = canonical_json({k: v for k, v in fields.items() if k < key})
+    after = canonical_json({k: v for k, v in fields.items() if k > key})
+    # One join, so a large ``raw`` is copied once.
+    return b"".join((before[:-1], b"," if len(before) > 2 else b"",
+                     canonical_json(key), b":", raw,
+                     b"," if len(after) > 2 else b"", after[1:]))
+
+
 # ----------------------------------------------------------------------
 # message plumbing
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ from repro.core.builder import TrajectoryBuilder
 from repro.core.trajectory import SemanticTrajectory
 from repro.persist.format import PersistError
 from repro.persist.wal import RecordLog
-from repro.service.protocol import canonical_json
+from repro.service.protocol import canonical_json, splice_json
 from repro.stream.segmenter import (
     NO_WATERMARK,
     WatermarkSegmenter,
@@ -214,6 +214,12 @@ class ServerStream:
 
     # -- checkpoint / recovery ------------------------------------------
     def state_payload(self) -> Dict[str, object]:
+        """The checkpoint document :meth:`write_state` persists."""
+        return {**self._state_fields(),
+                "segmenter": self.segmenter.state_dict()}
+
+    def _state_fields(self) -> Dict[str, object]:
+        """Every :meth:`state_payload` field except ``segmenter``."""
         payload = {
             "format": 1,
             "session": self.session_name,
@@ -225,7 +231,6 @@ class ServerStream:
             "checkpoints": self.checkpoints,
             "journal_seq": (self.journal.last_seq
                             if self.journal is not None else 0),
-            "segmenter": self.segmenter.state_dict(),
         }
         if self.relay:
             payload["relay"] = True
@@ -234,7 +239,12 @@ class ServerStream:
         return payload
 
     def write_state(self) -> None:
-        """Atomically persist :meth:`state_payload` (tmp + rename)."""
+        """Atomically persist :meth:`state_payload` (tmp + rename).
+
+        The file holds exactly ``canonical_json(state_payload())``,
+        built around the segmenter's incrementally encoded
+        :meth:`~repro.stream.segmenter.WatermarkSegmenter.state_json`
+        so a fold costs what is open, not what has streamed."""
         if self.directory is None:
             return
         os.makedirs(self.directory, exist_ok=True)
@@ -242,7 +252,9 @@ class ServerStream:
         temp = path + ".tmp"
         try:
             with open(temp, "wb") as sink:
-                sink.write(canonical_json(self.state_payload()))
+                sink.write(splice_json(self._state_fields(),
+                                       "segmenter",
+                                       self.segmenter.state_json()))
                 sink.write(b"\n")
                 sink.flush()
                 if self.fsync:

@@ -31,6 +31,13 @@ episode.  Records sharing a ``visit_id`` are never gap-split (exactly
 as in batch), but a visit that stays silent past the gap threshold
 while the watermark advances is considered complete — producers
 needing longer intra-visit silences must widen the gap.
+
+**Bounded state.**  What the segmenter holds, and what a checkpoint
+costs, follows what is *open*, not what has streamed: a visitor's
+repair state is forgotten once it has no open episode and its last
+event ended behind the watermark (no future on-time event can
+consult it), and each open event is encoded to canonical bytes at
+most once over its buffer's lifetime (:meth:`state_json`).
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.core.trajectory import (
     DETECTION_OVERLAP_TOLERANCE,
     SemanticTrajectory,
 )
+from repro.service.protocol import canonical_json, splice_json
 
 #: The watermark before any ``advance()`` — every event is on time.
 NO_WATERMARK = float("-inf")
@@ -185,6 +193,11 @@ class WatermarkSegmenter:
         #: per-visitor sort-order key of the last accepted event, for
         #: detecting out-of-order arrivals (batch sorts globally).
         self._last_key: Dict[str, Tuple[float, float]] = {}
+        #: per open buffer, ``(records encoded, the buffer's
+        #: canonical checkpoint entry)`` as of the last
+        #: :meth:`state_json`: a buffer only grows at its end and
+        #: leaves whole, so encoded bytes never go stale.
+        self._encoded: Dict[BufferKey, Tuple[int, bytes]] = {}
 
     # -- observation ----------------------------------------------------
     @property
@@ -196,6 +209,12 @@ class WatermarkSegmenter:
     def open_events(self) -> int:
         """Events buffered in open episodes (the memory gauge)."""
         return sum(len(records) for records in self._buffers.values())
+
+    @property
+    def repair_visitors(self) -> int:
+        """Visitors whose overlap/order repair state is still held
+        (bounded by the open visitors, not by all visitors seen)."""
+        return len(self._last_end)
 
     # -- ingestion ------------------------------------------------------
     def feed(self, record: DetectionRecord
@@ -213,8 +232,18 @@ class WatermarkSegmenter:
         if reason is not None:
             metrics.drop(reason)
             return []
+        key: BufferKey = (record.mo_id, record.visit_id)
+        buffer = self._buffers.get(key)
         if record.t_start < self.watermark:
             metrics.late_events += 1
+            if buffer is None:
+                # Late with no open episode to extend: its episode
+                # (if it had one) closed when the watermark passed.
+                # Checked before the order test, whose repair state
+                # may already be forgotten for this visitor.
+                metrics.drop("late")
+                metrics.dropped_late += 1
+                return []
         order_key = (record.t_start, record.t_end)
         previous_key = self._last_key.get(record.mo_id)
         if previous_key is not None and order_key < previous_key:
@@ -222,14 +251,6 @@ class WatermarkSegmenter:
             # sort would have placed it earlier, so splicing it in now
             # could rewrite an episode that may already be emitted.
             metrics.drop("out_of_order")
-            metrics.dropped_late += 1
-            return []
-        key: BufferKey = (record.mo_id, record.visit_id)
-        buffer = self._buffers.get(key)
-        if buffer is None and record.t_start < self.watermark:
-            # Late with no open episode to extend: its episode (if it
-            # had one) closed when the watermark passed.
-            metrics.drop("late")
             metrics.dropped_late += 1
             return []
         self._last_key[record.mo_id] = order_key
@@ -264,7 +285,8 @@ class WatermarkSegmenter:
         A regressing (or equal) watermark is a no-op — watermarks are
         monotonic by definition.  Closes every open episode whose last
         record ended more than the gap before the new watermark, in
-        deterministic ``(mo_id, first t_start)`` order.
+        deterministic ``(mo_id, first t_start)`` order, then forgets
+        the repair state of finished visitors (:meth:`_forget`).
         """
         if watermark <= self.watermark:
             return []
@@ -273,46 +295,96 @@ class WatermarkSegmenter:
                     if watermark - records[-1].t_end > self.gap_seconds]
         closable.sort(key=lambda key: (key[0],
                                        self._buffers[key][0].t_start))
-        return [self._emit(key) for key in closable]
+        closed = [self._emit(key) for key in closable]
+        self._forget()
+        return closed
 
     def close(self) -> List[SemanticTrajectory]:
         """End of stream: flush every open episode."""
-        keys = sorted(self._buffers,
-                      key=lambda key: (key[0],
-                                       self._buffers[key][0].t_start))
-        return [self._emit(key) for key in keys]
+        return [self._emit(key) for key, _ in self._ordered_buffers()]
 
     def _emit(self, key: BufferKey) -> SemanticTrajectory:
         records = self._buffers.pop(key)
+        self._encoded.pop(key, None)
         draft = self.builder.construct_trace(records)
         self.metrics.episodes += 1
         return self.builder.annotate(draft)
 
+    def _forget(self) -> None:
+        """Drop the repair state of every visitor with no open episode
+        whose last event ended behind the watermark.
+
+        No episode changes: an on-time event starts at or past the
+        watermark, so it is past the forgotten ``last_end`` and
+        neither the order test nor the overlap clip could fire, and
+        its own ``t_end`` becomes the new ``last_end``; a late one
+        finds no open episode and drops as ``late`` first.
+        """
+        watermark = self.watermark
+        open_visitors = {mo_id for mo_id, _ in self._buffers}
+        finished = [mo_id for mo_id, end in self._last_end.items()
+                    if end < watermark and mo_id not in open_visitors]
+        for mo_id in finished:
+            del self._last_end[mo_id]
+            self._last_key.pop(mo_id, None)
+
     # -- checkpoint state ----------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """JSON-native snapshot of everything :meth:`load_state`
-        needs to resume this stream after a restart."""
-        buffers = [
-            {"mo_id": key[0], "visit_id": key[1],
-             "records": [event_to_dict(r) for r in records]}
-            for key, records in sorted(
-                self._buffers.items(),
-                key=lambda item: (item[0][0], item[1][0].t_start))
-        ]
+    def _ordered_buffers(self) -> List[Tuple[BufferKey,
+                                             List[DetectionRecord]]]:
+        """Open buffers in close and checkpoint order: ``(mo_id,
+        first t_start)``."""
+        return sorted(self._buffers.items(),
+                      key=lambda item: (item[0][0], item[1][0].t_start))
+
+    def _scalar_state(self) -> Dict[str, object]:
+        """Every :meth:`state_dict` field except ``buffers``."""
         return {
             "watermark": (None if self.watermark == NO_WATERMARK
                           else self.watermark),
             "gap_seconds": self.gap_seconds,
-            "buffers": buffers,
             "last_end": dict(self._last_end),
             "last_key": {mo: list(key)
                          for mo, key in self._last_key.items()},
             "metrics": self.metrics.to_dict(),
         }
 
+    def state_dict(self) -> Dict[str, object]:
+        """JSON-native snapshot of everything :meth:`load_state`
+        needs to resume this stream after a restart."""
+        buffers = [
+            {"mo_id": key[0], "visit_id": key[1],
+             "records": [event_to_dict(r) for r in records]}
+            for key, records in self._ordered_buffers()
+        ]
+        return {"buffers": buffers, **self._scalar_state()}
+
+    def state_json(self) -> bytes:
+        """Exactly ``canonical_json(self.state_dict())``, at the cost
+        of what changed since the last call: each open event is
+        encoded once over its buffer's lifetime and its bytes reused
+        by every later checkpoint."""
+        entries = []
+        for key, records in self._ordered_buffers():
+            count, entry = self._encoded.get(key, (0, b""))
+            if count < len(records):
+                fresh = canonical_json([event_to_dict(record) for record
+                                        in records[count:]])[1:-1]
+                tail = b'],"visit_id":' + canonical_json(key[1]) + b"}"
+                if entry:
+                    entry = entry[:-len(tail)] + b"," + fresh + tail
+                else:
+                    entry = (b'{"mo_id":' + canonical_json(key[0])
+                             + b',"records":[' + fresh + tail)
+                self._encoded[key] = (len(records), entry)
+            entries.append(entry)
+        return splice_json(self._scalar_state(), "buffers",
+                           b"[%s]" % b",".join(entries))
+
     def load_state(self, state: Mapping) -> None:
         """Restore a :meth:`state_dict` snapshot (replaces all
-        in-memory state)."""
+        in-memory state).  Repair state of finished visitors is
+        forgotten as :meth:`advance` would, so a snapshot holding
+        long-gone visitors shrinks on its next checkpoint."""
         watermark = state.get("watermark")
         self.watermark = (NO_WATERMARK if watermark is None
                           else float(watermark))
@@ -330,3 +402,5 @@ class WatermarkSegmenter:
                           in (state.get("last_key") or {}).items()}
         self.metrics = StreamMetrics.from_dict(
             state.get("metrics") or {})
+        self._encoded = {}
+        self._forget()

@@ -307,3 +307,68 @@ class TestGoldenBytes:
         assert list(reopened.records()) == [(1, first, None),
                                             (2, second, 9.5)]
         assert reopened.last_seq == 2
+
+    def test_wal_record_with_non_ascii_and_float_times(self, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(str(path), fsync=False)
+        trajectory = make_trajectory(
+            mo_id="visiteur-é中", states=("salle-Å", "b"),
+            start=1000.25, dwell=0.1, gap=1e-7)
+        assert wal.append([trajectory]) == 1
+        wal.close()
+        assert path.read_bytes() == (
+            b'{"crc":"2197d254174ecaf9","docs":[{"annotations":[{'
+            b'"confidence":null,"kind":"goal","link":null,'
+            b'"source":null,"value":"visit"}],'
+            b'"mo_id":"visiteur-\\u00e9\\u4e2d","t_end":1000.4500001,'
+            b'"t_start":1000.25,"trace":[{"annotations":[],'
+            b'"state":"salle-\\u00c5","t_end":1000.35,'
+            b'"t_start":1000.25,"transition":null,'
+            b'"transition_annotations":[]},{"annotations":[],'
+            b'"state":"b","t_end":1000.4500001,'
+            b'"t_start":1000.3500001,'
+            b'"transition":"door-salle-\\u00c5-b",'
+            b'"transition_annotations":[]}]}],"seq":1}\n')
+        assert WalRecords.ids(WriteAheadLog(str(path))) \
+            == ["visiteur-é中"]
+
+    def test_journal_watermarks_none_int_and_float(self, tmp_path):
+        path = tmp_path / "events.log"
+        journal = EventJournal(str(path), fsync=False)
+        first = [{"mo_id": "é", "state": "z", "t_start": 0.1,
+                  "t_end": 2, "visit_id": "vø"}]
+        third = [{"mo_id": "b", "state": "z", "t_start": 1e-9,
+                  "t_end": 1e16}]
+        assert journal.append(first, watermark=None) == 1
+        assert journal.append([], watermark=7) == 2
+        assert journal.append(third, watermark=1234.5678) == 3
+        journal.close()
+        assert path.read_bytes() == (
+            b'{"crc":"2f1c2b9a86ee3df5","events":[{"mo_id":"\\u00e9",'
+            b'"state":"z","t_end":2,"t_start":0.1,'
+            b'"visit_id":"v\\u00f8"}],"seq":1,"watermark":null}\n'
+            b'{"crc":"e91decd1332ccb35","events":[],"seq":2,'
+            b'"watermark":7}\n'
+            b'{"crc":"e444deab65ccd6e7","events":[{"mo_id":"b",'
+            b'"state":"z","t_end":1e+16,"t_start":1e-09}],"seq":3,'
+            b'"watermark":1234.5678}\n')
+        assert list(EventJournal(str(path)).records()) == [
+            (1, first, None), (2, [], 7), (3, third, 1234.5678)]
+
+    def test_line_is_the_one_encoding_with_crc_spliced_in(self):
+        from repro.persist.wal import record_crc, record_line
+
+        body = {"events": [{"mo_id": "é"}], "watermark": 0.5}
+        assert record_line(body, 9) == canonical_json(
+            {**body, "crc": record_crc(body, 9), "seq": 9}) + b"\n"
+
+    @pytest.mark.parametrize("key", ["crc", "aaa", "Z", "cr"])
+    def test_body_key_sorting_before_crc_raises(self, tmp_path, key):
+        from repro.persist.wal import record_line
+
+        with pytest.raises(ValueError):
+            record_line({key: 1, "docs": []}, 1)
+        log = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False)
+        with pytest.raises(ValueError):
+            log.append_record({key: 1, "docs": []})
+        assert log.append_record({"docs": []}) == 1  # no seq taken

@@ -3,6 +3,10 @@ sessions restore from disk or while the shard layer can no longer
 mask failures, and 200 otherwise."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 import urllib.error
 import urllib.request
 
@@ -125,3 +129,55 @@ class TestReadyEndpoint:
             assert "open circuit breakers" in payload["reasons"][0]
         finally:
             server.stop()
+
+
+class TestServeStartupBuild:
+    def test_ready_waits_for_the_startup_build(self, tmp_path):
+        """``repro serve`` answers liveness while it builds its
+        preload session, but readiness must stay 503 (with a reason)
+        until the build is done: a probe gated on ``/v1/ready`` sees
+        the whole corpus, never an empty page."""
+        url_file = str(tmp_path / "serve.url")
+        environment = dict(os.environ)
+        source_root = os.path.join(os.path.dirname(__file__),
+                                   os.pardir, os.pardir, "src")
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(source_root),
+                          environment.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--scale", "0.02", "--port", "0",
+             "--url-file", url_file],
+            env=environment, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120
+            while not os.path.exists(url_file):
+                assert process.poll() is None, "serve exited early"
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            with open(url_file, encoding="utf-8") as handle:
+                url = json.load(handle)["url"]
+            not_ready = []
+            while True:
+                status, payload = fetch_ready(url)
+                if status == 200:
+                    break
+                not_ready.append(payload)
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            for payload in not_ready:
+                assert payload["ready"] is False
+                assert "preparing session 'louvre'" in payload["reasons"]
+            request = urllib.request.Request(
+                url + "/v1/call",
+                data=P.ListSessions().to_json(),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=30) as reply:
+                sessions = json.load(reply)["sessions"]
+            counts = {info["name"]: info["trajectories"]
+                      for info in sessions}
+            assert counts.get("louvre", 0) > 0, counts
+        finally:
+            process.terminate()
+            process.wait(timeout=30)
