@@ -1,4 +1,4 @@
-"""Bench ST1 — live ingestion: segmenter, durable stream, sources.
+"""Bench ST1 — live ingestion: segmenter and durable stream.
 
 Run as a script (not under pytest-benchmark); against the Louvre
 corpus replayed as an interleaved event-time stream it measures
@@ -15,10 +15,7 @@ corpus replayed as an interleaved event-time stream it measures
   behind, both of which must stay O(gap window), not O(corpus) — and
   so must the last fold's state file (``state_bytes``) and the
   visitors whose repair state the segmenter still holds
-  (``repair_visitors``);
-* ``backpressure`` — ``bounded_iter`` throughput with the ``block``
-  policy (items/s through a capacity-64 buffer and how often the
-  producer was actually throttled).
+  (``repair_visitors``).
 
 ``--out`` writes the measurements; the committed baseline is
 ``BENCH_stream.json``.  ``--smoke`` shrinks the corpus for CI.
@@ -44,7 +41,7 @@ from repro.louvre import (
 )
 from repro.service import protocol as P
 from repro.service.registry import SessionRegistry
-from repro.stream import WatermarkSegmenter, bounded_iter
+from repro.stream import WatermarkSegmenter
 from repro.stream.manager import STATE_NAME
 from repro.stream.segmenter import event_to_dict
 from repro.synth.pacing import ArrivalSchedule
@@ -144,25 +141,6 @@ def bench_stream_ingest(records, base: str,
     }
 
 
-def bench_backpressure(records) -> Dict[str, Dict]:
-    from repro.stream.backpressure import BoundedBuffer
-
-    buffer = BoundedBuffer(capacity=64, policy="block")
-    started = time.perf_counter()
-    drained = sum(1 for _ in bounded_iter(iter(records),
-                                          buffer=buffer))
-    seconds = time.perf_counter() - started
-    return {
-        "backpressure": {
-            "items": drained,
-            "capacity": buffer.capacity,
-            "seconds": seconds,
-            "items_per_s": drained / seconds,
-            "producer_blocked": buffer.blocked,
-        },
-    }
-
-
 def run_benchmarks(smoke: bool = False,
                    rate: float = None) -> Dict:
     from provenance import louvre_provenance
@@ -176,7 +154,6 @@ def run_benchmarks(smoke: bool = False,
         metrics.update(bench_segmenter(space, records))
         metrics.update(bench_stream_ingest(records, base,
                                            rate=rate))
-        metrics.update(bench_backpressure(records))
     finally:
         shutil.rmtree(base, ignore_errors=True)
 

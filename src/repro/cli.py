@@ -307,27 +307,35 @@ def _parse_query_terms(terms):
     return E.Or.of(*disjuncts)
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    """Plan and run a declarative query over a corpus."""
+def _load_workbench(args: argparse.Namespace):
+    """The ``--jsonl``, ``--csv`` or ``--scale`` corpus as a
+    :class:`~repro.api.Workbench`, or ``None`` after printing why it
+    could not be read."""
     from repro.api import Workbench
     from repro.storage.csvio import read_trajectories_jsonl
 
+    try:
+        if args.jsonl:
+            return Workbench.from_trajectories(
+                read_trajectories_jsonl(args.jsonl))
+        if args.csv:
+            return Workbench.from_csv(args.csv)
+        return Workbench.louvre(scale=args.scale)
+    except (OSError, ValueError) as error:
+        print("error: {}".format(error), file=sys.stderr)
+        return None
+
+
+def cmd_query(args: argparse.Namespace) -> int:
+    """Plan and run a declarative query over a corpus."""
     try:
         expression = _parse_query_terms(getattr(args, "terms", []))
     except ValueError as error:
         print("error: {}".format(error), file=sys.stderr)
         return 2
 
-    try:
-        if args.jsonl:
-            workbench = Workbench.from_trajectories(
-                read_trajectories_jsonl(args.jsonl))
-        elif args.csv:
-            workbench = Workbench.from_csv(args.csv)
-        else:
-            workbench = Workbench.louvre(scale=args.scale)
-    except (OSError, ValueError) as error:
-        print("error: {}".format(error), file=sys.stderr)
+    workbench = _load_workbench(args)
+    if workbench is None:
         return 1
 
     query = workbench.query(expression)
@@ -387,20 +395,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
     """Build a corpus and persist it as a durable session dir."""
-    from repro.api import Workbench
     from repro.persist import PersistError
-    from repro.storage.csvio import read_trajectories_jsonl
 
-    try:
-        if args.jsonl:
-            workbench = Workbench.from_trajectories(
-                read_trajectories_jsonl(args.jsonl))
-        elif args.csv:
-            workbench = Workbench.from_csv(args.csv)
-        else:
-            workbench = Workbench.louvre(scale=args.scale)
-    except (OSError, ValueError) as error:
-        print("error: {}".format(error), file=sys.stderr)
+    workbench = _load_workbench(args)
+    if workbench is None:
         return 1
     try:
         info = workbench.save(args.out, fsync=not args.no_fsync)
@@ -641,9 +639,30 @@ def cmd_rebalance(args: argparse.Namespace) -> int:
     return 0
 
 
+def _remote(args: argparse.Namespace, action):
+    """``action(client)`` against the server at ``args.url``.
+
+    Returns its (non-``None``) result, or ``None`` after printing the
+    service error or the transport failure; the command then exits 1.
+    """
+    from repro.service.client import ServiceClient, ServiceError
+
+    client = ServiceClient(args.url, timeout=args.timeout)
+    try:
+        return action(client)
+    except ServiceError as error:
+        print("error: {}: {}".format(error.code, error.message),
+              file=sys.stderr)
+    except OSError as error:
+        print("error: cannot reach {}: {}".format(args.url, error),
+              file=sys.stderr)
+    finally:
+        client.close()
+    return None
+
+
 def cmd_call(args: argparse.Namespace) -> int:
     """Issue one protocol command against a running server."""
-    from repro.service.client import ServiceClient, ServiceError
     from repro.service.protocol import (
         PROTOCOL_VERSION,
         ProtocolError,
@@ -664,17 +683,8 @@ def cmd_call(args: argparse.Namespace) -> int:
     except ProtocolError as error:
         print("error: {}".format(error), file=sys.stderr)
         return 2
-    client = ServiceClient(args.url, timeout=args.timeout)
-    try:
-        response = client.call(command)
-    except ServiceError as error:
-        print(json.dumps({"response": "Error", "code": error.code,
-                          "message": error.message}, sort_keys=True),
-              file=sys.stderr)
-        return 1
-    except OSError as error:
-        print("error: cannot reach {}: {}".format(args.url, error),
-              file=sys.stderr)
+    response = _remote(args, lambda client: client.call(command))
+    if response is None:
         return 1
     indent = 2 if args.pretty else None
     print(json.dumps(response.to_dict(), sort_keys=True,
@@ -704,7 +714,6 @@ def _stream_records(args: argparse.Namespace) -> list:
 
 def cmd_stream_replay(args: argparse.Namespace) -> int:
     """Replay a corpus as a live event stream against a server."""
-    from repro.service.client import ServiceClient, ServiceError
     from repro.stream.segmenter import event_to_dict
     from repro.synth.pacing import ArrivalSchedule
 
@@ -718,7 +727,6 @@ def cmd_stream_replay(args: argparse.Namespace) -> int:
     total = len(records)
     end = total if args.limit is None else min(total, args.offset
                                                + args.limit)
-    client = ServiceClient(args.url, timeout=args.timeout)
     summary = {"url": args.url, "session": args.session,
                "stream": args.stream, "corpus_events": total,
                "offset": args.offset, "replayed": 0,
@@ -728,9 +736,11 @@ def cmd_stream_replay(args: argparse.Namespace) -> int:
     # --rate is events/s; one schedule slot covers one chunk.
     schedule = ArrivalSchedule(
         None if args.rate is None else args.rate / args.chunk)
-    batch_index = 0
     position = args.offset
-    try:
+
+    def replay(client):
+        nonlocal position
+        batch_index = 0
         client.open_stream(args.session, args.stream,
                            gap_seconds=args.gap_seconds,
                            checkpoint_every=args.checkpoint_every)
@@ -758,16 +768,10 @@ def cmd_stream_replay(args: argparse.Namespace) -> int:
             summary["events_acked"] = closed.events_acked
             summary["episodes_total"] = closed.episodes_total
         summary["behind_schedule"] = schedule.behind
-    except ServiceError as error:
-        print("error: {}: {}".format(error.code, error.message),
-              file=sys.stderr)
+        return summary
+
+    if _remote(args, replay) is None:
         return 1
-    except OSError as error:
-        print("error: cannot reach {}: {}".format(args.url, error),
-              file=sys.stderr)
-        return 1
-    finally:
-        client.close()
     if args.json:
         print(json.dumps(summary, sort_keys=True))
         return 0
@@ -787,21 +791,10 @@ def cmd_stream_replay(args: argparse.Namespace) -> int:
 
 def cmd_stream_status(args: argparse.Namespace) -> int:
     """Poll one stream's watermark and counters."""
-    from repro.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url, timeout=args.timeout)
-    try:
-        info = client.stream_status(args.session, args.stream)
-    except ServiceError as error:
-        print("error: {}: {}".format(error.code, error.message),
-              file=sys.stderr)
+    info = _remote(args, lambda client: client.stream_status(
+        args.session, args.stream))
+    if info is None:
         return 1
-    except OSError as error:
-        print("error: cannot reach {}: {}".format(args.url, error),
-              file=sys.stderr)
-        return 1
-    finally:
-        client.close()
     if args.json:
         print(json.dumps(info.status, sort_keys=True))
         return 0
@@ -818,21 +811,10 @@ def cmd_stream_status(args: argparse.Namespace) -> int:
 
 def cmd_stream_close(args: argparse.Namespace) -> int:
     """Flush and retire one stream."""
-    from repro.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url, timeout=args.timeout)
-    try:
-        closed = client.close_stream(args.session, args.stream)
-    except ServiceError as error:
-        print("error: {}: {}".format(error.code, error.message),
-              file=sys.stderr)
+    closed = _remote(args, lambda client: client.close_stream(
+        args.session, args.stream))
+    if closed is None:
         return 1
-    except OSError as error:
-        print("error: cannot reach {}: {}".format(args.url, error),
-              file=sys.stderr)
-        return 1
-    finally:
-        client.close()
     if args.json:
         print(json.dumps(closed.to_dict(), sort_keys=True))
         return 0
@@ -926,17 +908,16 @@ def cmd_synth_crowd(args: argparse.Namespace) -> int:
 
 def cmd_synth_replay(args: argparse.Namespace) -> int:
     """Synthesize a crowd and replay it against a server."""
-    from repro.service.client import ServiceClient, ServiceError
     from repro.synth import CrowdSpec, CrowdSynthesizer, TrafficReplayer
 
     venue = _synth_venue(args)
     spec = CrowdSpec(agents=args.agents, seed=args.crowd_seed,
                      agents_per_day=args.agents_per_day)
     crowd = CrowdSynthesizer(venue, spec)
-    client = ServiceClient(args.url, timeout=args.timeout)
-    replayer = TrafficReplayer(client, args.session, venue,
-                               rate=args.rate, chunk=args.chunk)
-    try:
+
+    def replay(client):
+        replayer = TrafficReplayer(client, args.session, venue,
+                                   rate=args.rate, chunk=args.chunk)
         if args.mode == "batch":
             report = replayer.replay_batch(crowd.iter_events())
         elif args.mode == "stream":
@@ -946,16 +927,11 @@ def cmd_synth_replay(args: argparse.Namespace) -> int:
             report = replayer.replay_queries(args.queries)
         report.provenance = crowd.provenance()
         replayer.verify_delivery(report)
-    except ServiceError as error:
-        print("error: {}: {}".format(error.code, error.message),
-              file=sys.stderr)
+        return report
+
+    report = _remote(args, replay)
+    if report is None:
         return 1
-    except OSError as error:
-        print("error: cannot reach {}: {}".format(args.url, error),
-              file=sys.stderr)
-        return 1
-    finally:
-        client.close()
     payload = report.as_dict()
     if args.json:
         print(json.dumps(payload, sort_keys=True))

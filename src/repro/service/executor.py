@@ -63,6 +63,7 @@ from repro.service.registry import (
 from repro.storage.expr import ExprSerializationError
 from repro.storage.query import Query
 from repro.storage.results import ORDER_KEYS, ResultSet
+from repro.stream.segmenter import finite_time
 
 #: Hard page-size ceiling; RunQuery limits are clamped to it.
 MAX_PAGE_SIZE = 1000
@@ -152,6 +153,19 @@ def check_open_stream(command: P.OpenStream) -> None:
                            "max_open_events must be >= 1")
     if command.gap_seconds is not None and command.gap_seconds <= 0:
         raise CommandError("bad_request", "gap_seconds must be > 0")
+
+
+def check_watermark(command: P.AppendEvents) -> None:
+    """Validate an ``AppendEvents`` watermark before anything is
+    journaled: absent, or a finite number.  An infinite watermark
+    would close every open episode and drop each later event as
+    late, and ``NaN``/``Infinity`` are not JSON."""
+    if command.watermark is not None:
+        try:
+            finite_time(command.watermark)
+        except ValueError as error:
+            raise CommandError("bad_request",
+                               "watermark: {}".format(error))
 
 
 def check_row_block(command: P.SimilarityBlock) -> None:
@@ -687,10 +701,7 @@ def _append_events(registry: SessionRegistry,
     from repro.stream.segmenter import NO_WATERMARK
 
     stream = _stream(registry, command.session, command.stream)
-    if command.watermark is not None \
-            and not isinstance(command.watermark, (int, float)):
-        raise CommandError("bad_request",
-                           "watermark must be a number")
+    check_watermark(command)
     try:
         result = stream.append(command.events,
                                watermark=command.watermark)

@@ -75,6 +75,7 @@ from repro.service.executor import (
     assemble_page,
     check_open_stream,
     check_row_block,
+    check_watermark,
     decode_page_cursor,
     dispatch,
     job_info,
@@ -1233,10 +1234,7 @@ class ShardCoordinator:
 
         state = self._stream_state(command.session, command.stream)
         session = self._held(command.session)
-        if command.watermark is not None \
-                and not isinstance(command.watermark, (int, float)):
-            raise CommandError("bad_request",
-                               "watermark must be a number")
+        check_watermark(command)
         try:  # validate up front so no shard partially acks
             for event in command.events:
                 event_from_dict(event)

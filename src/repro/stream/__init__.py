@@ -2,21 +2,17 @@
 
 Turns the batch-replay engine into a live trajectory feed: interleaved
 ``(visitor, position, timestamp)`` events from many concurrent
-visitors enter through a bounded, back-pressure-aware source, are
-segmented into episodes by an event-time **watermark segmenter**, and
-every closed episode lands in the session's store through the same
-WAL-journaled write path a batch build uses — so a replayed corpus is
-byte-identical to its batch build, and an acked event survives
-``kill -9``.
+visitors are segmented into episodes by an event-time **watermark
+segmenter**, and every closed episode lands in the session's store
+through the same WAL-journaled write path a batch build uses — so a
+replayed corpus is byte-identical to its batch build, and an acked
+event survives ``kill -9``.
 
 Layers:
 
 * :mod:`repro.stream.segmenter` — the watermark segmenter
   (:class:`WatermarkSegmenter`) and the wire codec for detection
   events;
-* :mod:`repro.stream.backpressure` — bounded inter-stage queues with
-  blocking/shedding policies (:class:`BoundedBuffer`,
-  :func:`bounded_iter`);
 * :mod:`repro.stream.manager` — durable server-side streams
   (:class:`StreamManager`): the event journal, auto-checkpoint and
   crash recovery behind the ``OpenStream`` / ``AppendEvents`` /
@@ -25,7 +21,6 @@ Layers:
 See ``docs/streaming.md`` for the watermark and durability contracts.
 """
 
-from repro.stream.backpressure import BoundedBuffer, bounded_iter
 from repro.stream.manager import (
     StreamManager,
     StreamOverloadedError,
@@ -39,13 +34,11 @@ from repro.stream.segmenter import (
 )
 
 __all__ = [
-    "BoundedBuffer",
     "StreamManager",
     "StreamMetrics",
     "StreamOverloadedError",
     "UnknownStreamError",
     "WatermarkSegmenter",
-    "bounded_iter",
     "event_from_dict",
     "event_to_dict",
 ]

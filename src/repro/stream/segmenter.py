@@ -42,6 +42,7 @@ most once over its buffer's lifetime (:meth:`state_json`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -74,12 +75,31 @@ def event_to_dict(record: DetectionRecord) -> Dict[str, object]:
     return data
 
 
+def finite_time(value: object) -> float:
+    """``value`` as a float when it is a finite JSON number.
+
+    Raises:
+        ValueError: for a bool (JSON ``true``), a string, ``NaN`` or
+            an infinity (JSON ``Infinity``, or ``1e400`` once parsed).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("{!r} is not a number".format(value))
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError("{!r} is not finite".format(value))
+    return number
+
+
 def event_from_dict(data: Mapping) -> DetectionRecord:
     """Parse one wire-shaped detection event.
 
     Raises:
         ValueError: for anything but a mapping with string
-            ``mo_id``/``state`` and numeric ``t_start``/``t_end``.
+            ``mo_id``/``state`` and finite numeric
+            ``t_start``/``t_end``.
     """
     try:
         mo_id = data["mo_id"]
@@ -92,8 +112,8 @@ def event_from_dict(data: Mapping) -> DetectionRecord:
         return DetectionRecord(
             mo_id=mo_id,
             state=state,
-            t_start=float(data["t_start"]),
-            t_end=float(data["t_end"]),
+            t_start=finite_time(data["t_start"]),
+            t_end=finite_time(data["t_end"]),
             visit_id=visit_id,
             attributes=dict(data.get("attributes") or {}),
         )

@@ -13,8 +13,7 @@ workload side of the system:
   agents from the :mod:`repro.movement` visitor profiles, in
   O(open-agents) memory and byte-identical for a fixed seed;
 * :mod:`repro.synth.pacing` — the shared open-loop arrival schedule
-  (extracted from ``benchmarks/bench_service.py``) that paces load
-  without coordinated omission;
+  that paces load without coordinated omission;
 * :mod:`repro.synth.replayer` — a traffic replayer that drives the
   asyncio front-end with a synthesized crowd as batch ingest,
   ``AppendEvents`` streams, or query mixes, recording

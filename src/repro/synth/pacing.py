@@ -1,7 +1,6 @@
 """Open-loop arrival scheduling (shared by benches and the replayer).
 
-Extracted from ``benchmarks/bench_service.py``'s ``open_loop``: a
-request's latency must run from its **intended** arrival time, never
+A request's latency must run from its **intended** arrival time, never
 from the moment a slow server finally let us send it — otherwise a
 saturated server silently thins the load and the tail looks healthy
 (coordinated omission).  The schedule is fixed up front:
@@ -18,7 +17,7 @@ possible modes uniformly.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 
 class ArrivalSchedule:
@@ -71,17 +70,3 @@ class ArrivalSchedule:
         else:
             self.behind += 1
         return intended
-
-    def split(self, ways: int) -> List["ArrivalSchedule"]:
-        """Independent per-connection schedules sharing the rate.
-
-        ``ways`` connections each own ``rate / ways`` of the arrival
-        stream — the multi-connection decomposition ``open_loop``
-        uses.
-        """
-        if ways < 1:
-            raise ValueError("ways must be >= 1")
-        if self.rate is None:
-            return [ArrivalSchedule(None) for _ in range(ways)]
-        return [ArrivalSchedule(self.rate / ways)
-                for _ in range(ways)]

@@ -5,6 +5,10 @@ the Louvre replay content-identity gate over the wire.
 
 from __future__ import annotations
 
+import json
+import urllib.error
+import urllib.request
+
 import pytest
 
 from repro.core.builder import TrajectoryBuilder
@@ -119,6 +123,89 @@ class TestStreamCommands:
         assert streams["watermark_min"] is not None
         client.close_stream("live-h", "feed")
         client.call(P.DropSession(session="live-h"))
+
+
+def _strict_json(raw: bytes):
+    """Parse ``raw`` refusing the non-JSON ``NaN``/``Infinity``."""
+    def refuse(token):
+        raise ValueError("non-JSON constant " + token)
+    return json.loads(raw.decode("utf-8"), parse_constant=refuse)
+
+
+def post_raw(server, body: bytes):
+    """``(http status, reply)`` for a hand-written request body."""
+    request = urllib.request.Request(server.url + "/v1/call",
+                                     data=body, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as reply:
+            return reply.status, _strict_json(reply.read())
+    except urllib.error.HTTPError as error:
+        return error.code, _strict_json(error.read())
+
+
+#: JSON tokens that are not a finite number (``Infinity``/``NaN``
+#: are what Python's encoder writes for them; ``1e400`` parses to inf).
+NOT_FINITE = ["true", '"10"', "NaN", "Infinity", "-Infinity", "1e400"]
+
+
+@pytest.fixture()
+def fresh_stream(service):
+    """``(server, client)`` with stream ``feed`` open on a session of
+    its own, closed and dropped afterwards whatever the outcome."""
+    server, client, _ = service
+    client.open_stream("live-v", "feed")
+    try:
+        yield server, client
+    finally:
+        client.close_stream("live-v", "feed")
+        client.call(P.DropSession(session="live-v"))
+
+
+def append_raw(server, tail: str):
+    """POST an ``AppendEvents`` to ``live-v``/``feed`` whose body ends
+    in the hand-written JSON ``tail``."""
+    return post_raw(server, (
+        '{"v":1,"command":"AppendEvents","session":"live-v",'
+        '"stream":"feed",' + tail + '}').encode())
+
+
+class TestStreamInputValidation:
+    """A rejected append changes nothing: no watermark move, no
+    counter, and the reply stays strict JSON."""
+
+    @pytest.mark.parametrize("token", NOT_FINITE)
+    def test_bad_watermark_is_400_and_changes_nothing(self, fresh_stream,
+                                                      token):
+        server, client = fresh_stream
+        client.append_events("live-v", "feed", walk("alice", 0.0),
+                             watermark=30.0)
+        before = client.stream_status("live-v", "feed").status
+        status, reply = append_raw(
+            server, '"events":[],"watermark":' + token)
+        assert status == 400 and reply["code"] == "bad_request", reply
+        assert client.stream_status("live-v", "feed").status == before
+        # The stream still accepts events after its last watermark.
+        ack = client.append_events("live-v", "feed",
+                                   walk("bob", 1000.0))
+        assert ack.appended == 3
+        after = client.stream_status("live-v", "feed").status
+        assert after["accepted"] == before["accepted"] + 3
+        assert after["dropped_late"] == 0
+
+    @pytest.mark.parametrize("field", ["t_start", "t_end"])
+    @pytest.mark.parametrize("token", NOT_FINITE)
+    def test_bad_event_time_is_400_and_changes_nothing(
+            self, fresh_stream, field, token):
+        server, client = fresh_stream
+        client.append_events("live-v", "feed", walk("alice", 0.0))
+        before = client.stream_status("live-v", "feed").status
+        times = {"t_start": "10.0", "t_end": "20.0", field: token}
+        event = ('{{"mo_id":"bob","state":"{}","t_start":{t_start},'
+                 '"t_end":{t_end}}}'.format(ZONES[0], **times))
+        status, reply = append_raw(server,
+                                   '"events":[' + event + ']')
+        assert status == 400 and reply["code"] == "bad_request", reply
+        assert client.stream_status("live-v", "feed").status == before
 
 
 class TestDurableStreams:

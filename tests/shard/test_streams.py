@@ -123,6 +123,47 @@ class TestShardedStreamLifecycle:
                                                   stream=STREAM))
         assert status.status["events_acked"] == 0
 
+    @pytest.mark.parametrize("watermark", [
+        True, "10", float("nan"), float("inf"), float("-inf"),
+        10 ** 400])
+    def test_bad_watermark_changes_nothing_anywhere(self, coordinator,
+                                                    watermark):
+        open_stream(coordinator)
+        append(coordinator, walk("alice", 0.0), watermark=30.0)
+        before = call(coordinator, P.StreamStatus(
+            session=SESSION, stream=STREAM)).status
+        response = coordinator.execute_command(P.AppendEvents(
+            session=SESSION, stream=STREAM, events=[],
+            watermark=watermark))
+        assert isinstance(response, P.ErrorInfo)
+        assert response.code == "bad_request"
+        assert call(coordinator, P.StreamStatus(
+            session=SESSION, stream=STREAM)).status == before
+        ack = append(coordinator, walk("bob", 1000.0))
+        assert ack.appended == 3
+        after = call(coordinator, P.StreamStatus(
+            session=SESSION, stream=STREAM)).status
+        assert after["accepted"] == before["accepted"] + 3
+        assert after["dropped_late"] == 0
+
+    @pytest.mark.parametrize("field", ["t_start", "t_end"])
+    @pytest.mark.parametrize("value", [
+        True, "10", float("nan"), float("inf"), 10 ** 400])
+    def test_bad_event_time_acks_nothing_anywhere(self, coordinator,
+                                                  field, value):
+        open_stream(coordinator)
+        append(coordinator, walk("alice", 0.0))
+        before = call(coordinator, P.StreamStatus(
+            session=SESSION, stream=STREAM)).status
+        response = coordinator.execute_command(P.AppendEvents(
+            session=SESSION, stream=STREAM,
+            events=[ev("bob", ZONES[0], 10.0),
+                    dict(ev("carol", ZONES[0], 10.0), **{field: value})]))
+        assert isinstance(response, P.ErrorInfo)
+        assert response.code == "bad_request"
+        assert call(coordinator, P.StreamStatus(
+            session=SESSION, stream=STREAM)).status == before
+
     def test_overload_precheck_rejects_before_any_shard_acks(
             self, coordinator):
         open_stream(coordinator, max_open_events=2)

@@ -58,18 +58,3 @@ class TestUnpaced:
 
     def test_interval_is_none(self):
         assert ArrivalSchedule(None).interval is None
-
-
-class TestSplit:
-    def test_split_shares_the_rate(self):
-        parts = ArrivalSchedule(rate=100.0).split(4)
-        assert len(parts) == 4
-        assert all(part.rate == 25.0 for part in parts)
-
-    def test_split_unpaced(self):
-        parts = ArrivalSchedule(None).split(3)
-        assert all(part.rate is None for part in parts)
-
-    def test_split_validates(self):
-        with pytest.raises(ValueError):
-            ArrivalSchedule(rate=10.0).split(0)

@@ -321,11 +321,16 @@ class TestStreamCommands:
                      "--session", "nowhere"]) == 1
         assert "unknown_stream" in capsys.readouterr().err
 
-    def test_unreachable_server_fails(self, capsys):
-        assert main(["stream", "status",
-                     "--url", "http://127.0.0.1:9",
-                     "--timeout", "2"]) == 1
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["call", '{"command": "ListSessions"}'],
+        ["stream", "status"],
+        ["stream", "close"],
+        ["synth", "replay", "--mode", "queries", "--queries", "1"],
+    ], ids=["call", "stream-status", "stream-close", "synth-replay"])
+    def test_unreachable_server_fails(self, capsys, argv):
+        assert main(argv + ["--url", "http://127.0.0.1:9",
+                            "--timeout", "2"]) == 1
+        assert "error: cannot reach" in capsys.readouterr().err
 
     def test_bad_chunk_rejected(self, capsys):
         assert main(["stream", "replay", "--chunk", "0"]) == 2
