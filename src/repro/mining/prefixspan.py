@@ -135,7 +135,9 @@ def contains_pattern(sequence: Sequence[str],
 
 def pattern_support(sequences: Sequence[Sequence[str]],
                     pattern: Sequence[str]) -> int:
-    """Recount a pattern's support (used to cross-check the miner)."""
+    """Recount one pattern's support, sequence by sequence: the
+    reference the miner and :func:`pattern_supports` are tested
+    against."""
     return sum(1 for sequence in sequences
                if contains_pattern(sequence, pattern))
 
@@ -144,11 +146,41 @@ def pattern_supports(sequences: Sequence[Sequence[str]],
                      patterns: Iterable[Sequence[str]]) -> List[int]:
     """:func:`pattern_support` of each pattern, in order.
 
-    Each distinct sequence is tested once and weighted by its
-    multiplicity, so recounting many candidates costs one pass over
-    the distinct sequences per pattern.
+    One walk of the patterns' prefix trie over the distinct sequences,
+    each weighted by its multiplicity: a node's projection is its
+    parent's, each sequence advanced past the leftmost occurrence of
+    the node's item at or after its offset, so a prefix shared by many
+    patterns is matched once.  Each sequence carries its items' last
+    positions, which tell whether the item still occurs past the
+    offset before ``tuple.index`` looks for it.  The empty pattern
+    counts every sequence; duplicate patterns share a node.
     """
-    counts = list(Counter(map(tuple, sequences)).items())
-    return [sum(count for sequence, count in counts
-                if contains_pattern(sequence, pattern))
-            for pattern in patterns]
+    patterns = [tuple(pattern) for pattern in patterns]
+    supports = [0] * len(patterns)
+    if not patterns:
+        return supports
+    # A trie node is (children by item, indices of patterns ending here).
+    root: Tuple[Dict, List[int]] = ({}, [])
+    for index, pattern in enumerate(patterns):
+        node = root
+        for item in pattern:
+            node = node[0].setdefault(item, ({}, []))
+        node[1].append(index)
+    projected = [(sequence,
+                  {item: position for position, item in enumerate(sequence)},
+                  count, 0)
+                 for sequence, count
+                 in Counter(map(tuple, sequences)).items()]
+    stack = [(root, projected)]
+    while stack:
+        (children, ends), projected = stack.pop()
+        if ends:
+            support = sum(entry[2] for entry in projected)
+            for index in ends:
+                supports[index] = support
+        for item, child in children.items():
+            stack.append((child, [
+                (sequence, last, count, sequence.index(item, offset) + 1)
+                for sequence, last, count, offset in projected
+                if last.get(item, -1) >= offset]))
+    return supports

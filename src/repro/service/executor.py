@@ -25,6 +25,7 @@ code (``unknown_session``, ``bad_cursor``, ...).
 from __future__ import annotations
 
 import math
+import sys
 from typing import (
     Callable,
     Dict,
@@ -168,6 +169,50 @@ def check_watermark(command: P.AppendEvents) -> None:
                                "watermark: {}".format(error))
 
 
+#: Command type → its numeric fields, each ``(name, integral)``:
+#: what :func:`check_numbers` validates before any range rule.
+_NUMERIC_FIELDS: Dict[Type[P.Command], Tuple[Tuple[str, bool], ...]] = {
+    P.MinePatterns: (("min_support", False), ("max_length", True)),
+    P.RunQuery: (("limit", True), ("offset", True)),
+}
+
+
+def check_numbers(command: P.Command) -> None:
+    """Validate the types of a ``MinePatterns`` or ``RunQuery``'s
+    numeric fields before any work: ``min_support`` a finite number,
+    ``max_length``, ``limit`` and ``offset`` integers, none a bool.
+    The range rules stay with the code that applies them, in their
+    order.  ``NaN`` and ``Infinity`` would otherwise lift a length cap
+    or a page size, or fail mid-mining as an ``internal`` error."""
+    for name, integral in _NUMERIC_FIELDS[type(command)]:
+        value = getattr(command, name)
+        valid = isinstance(value, int) or (
+            not integral and isinstance(value, float)
+            and math.isfinite(value))
+        if isinstance(value, bool) or not valid:
+            raise CommandError(
+                "bad_request", "{} must be {}, got {!r}".format(
+                    name, "an integer" if integral
+                    else "a finite number", value))
+
+
+def check_patterns(command: P.CountPatterns) -> None:
+    """Validate a ``CountPatterns``' candidates: a list of patterns,
+    each a list of state strings."""
+    patterns = command.patterns
+    if not isinstance(patterns, list):
+        raise CommandError("bad_request",
+                           "patterns must be a list, got {!r}".format(
+                               patterns))
+    for index, pattern in enumerate(patterns):
+        if not isinstance(pattern, list) \
+                or not all(isinstance(item, str) for item in pattern):
+            raise CommandError(
+                "bad_request",
+                "patterns[{}] must be a list of strings, got "
+                "{!r}".format(index, pattern))
+
+
 def check_row_block(command: P.SimilarityBlock) -> None:
     """Validate a ``SimilarityBlock``'s row range."""
     size = len(command.sequences)
@@ -286,6 +331,7 @@ def route_page(command: P.RunQuery) -> PageSpec:
     Raises:
         CommandError: on an unusable limit/offset/order_by.
     """
+    check_numbers(command)
     if command.limit < 1:
         raise CommandError("bad_request",
                            "limit must be >= 1, got {}".format(
@@ -299,6 +345,9 @@ def route_page(command: P.RunQuery) -> PageSpec:
             "unknown order_by {!r}; one of: {}".format(
                 command.order_by, ", ".join(sorted(ORDER_KEYS))))
     limit = min(command.limit, MAX_PAGE_SIZE)
+    # An offset past sys.maxsize skips every hit, and islice takes
+    # no larger count.
+    offset = min(command.offset, sys.maxsize)
     fingerprint = P.page_fingerprint(command.query, command.order_by,
                                      command.descending)
     # ``descending`` without an explicit key means newest-first
@@ -307,7 +356,7 @@ def route_page(command: P.RunQuery) -> PageSpec:
     order_by = command.order_by
     if order_by is None and command.descending:
         order_by = "doc_id"
-    return PageSpec(limit, command.offset, order_by,
+    return PageSpec(limit, offset, order_by,
                     command.descending, fingerprint)
 
 
@@ -470,6 +519,7 @@ def _explain(registry: SessionRegistry,
 def _mine_patterns(registry: SessionRegistry,
                    command: P.MinePatterns) -> P.Response:
     session = _session(registry, command.session)
+    check_numbers(command)
     sequences = state_sequences(_corpus(session, command.query))
     try:
         patterns = patterns_over(sequences, command.min_support,
@@ -538,6 +588,7 @@ def _count_patterns(registry: SessionRegistry,
     from repro.mining.prefixspan import pattern_supports
 
     session = _session(registry, command.session)
+    check_patterns(command)
     sequences = state_sequences(_corpus(session, command.query))
     supports = pattern_supports(sequences, command.patterns)
     return P.PatternSupports(supports=supports,

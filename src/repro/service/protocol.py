@@ -567,11 +567,13 @@ class CountPatterns(Command):
     corpus.
 
     The combine half of distributed PrefixSpan: the coordinator mines
-    per-shard candidates with a lowered local threshold, unions them,
-    and recounts every candidate on every shard with this command so
-    global supports are exact.  With ``patterns == []`` it degrades
-    to a sequence-count probe (the denominator for fractional
-    ``min_support``).
+    per-shard candidates with a lowered local threshold, keeps the
+    supports each shard mined, drops the candidates that cannot reach
+    the global threshold, and sends each shard this command with only
+    the surviving candidates it did not mine, so global supports are
+    exact.  With ``patterns == []`` it degrades to a sequence-count
+    probe (the denominator for fractional ``min_support``).  Each
+    pattern must be a list of state strings.
     """
 
     kind = "CountPatterns"

@@ -28,7 +28,8 @@ differs:
   planned against a stats-only store proxy;
 * ``MinePatterns`` — count-distribution PrefixSpan: local mining at a
   pigeonhole-lowered threshold, then an exact ``CountPatterns``
-  recount of the candidate union;
+  recount of each surviving candidate on only the shards that did
+  not mine it;
 * ``Similarity`` — the merged sequence list scattered as
   ``SimilarityBlock`` row ranges and stitched;
 * ``BuildDataset`` — the pipeline runs once on the coordinator with a
@@ -73,6 +74,7 @@ from repro.service.executor import (
     CommandError,
     PageSpec,
     assemble_page,
+    check_numbers,
     check_open_stream,
     check_row_block,
     check_watermark,
@@ -958,8 +960,8 @@ class ShardCoordinator:
         # The executor applies ``offset`` on ordered pages and on
         # cursor-less natural pages, but never on a natural-order
         # resume — replicated here so the skip count matches.
-        skip = command.offset if (spec.order_by is not None
-                                  or command.cursor is None) else 0
+        skip = spec.offset if (spec.order_by is not None
+                               or command.cursor is None) else 0
         needed = skip + spec.limit + 1
         want_total = command.include_total and command.cursor is None
         merged, totals, missing = self._scatter_pages(
@@ -1028,12 +1030,15 @@ class ShardCoordinator:
         return P.Explanation(plan=query.explain())
 
     def _mine_patterns(self, command: P.MinePatterns) -> P.Response:
+        # The executor's order: the session, then the field types.
+        self._held(command.session)
+        check_numbers(command)
         count = P.CountPatterns(session=command.session,
                                 query=command.query)
         total = self._scatter_read(count).sequences
         if total == 0:
             # patterns_over returns [] for an empty corpus before any
-            # parameter validation — mirrored for byte parity.
+            # range validation — mirrored for byte parity.
             return P.PatternList(patterns=[])
         if command.max_length < 1:
             raise CommandError("bad_request",
@@ -1043,21 +1048,37 @@ class ShardCoordinator:
         # support >= ceil(S / N) on at least one shard, so mining
         # every shard at the lowered threshold finds every candidate.
         local_support = -(-support // self.shard_count)
-        mined = self._scatter_same(P.MinePatterns(
-            session=command.session, query=command.query,
-            min_support=local_support,
-            max_length=command.max_length))
-        candidates = sorted({tuple(pattern.sequence)
-                             for reply in mined
-                             for pattern in reply.patterns})
-        if not candidates:
-            return P.PatternList(patterns=[])
-        recount = self._scatter_read(replace(
-            count, patterns=[list(candidate)
-                             for candidate in candidates]))
+        mined = [{tuple(pattern.sequence): pattern.support
+                  for pattern in reply.patterns}
+                 for reply in self._scatter_same(P.MinePatterns(
+                     session=command.session, query=command.query,
+                     min_support=local_support,
+                     max_length=command.max_length))]
+        # Each shard's list is complete at the lowered threshold: a
+        # mined support is exact, and a candidate a shard did not mine
+        # has at most local_support - 1 there (none when that is 0).
+        # A candidate whose ceiling falls short of S is dropped; the
+        # rest are recounted only on the shards that did not mine
+        # them.
+        ceiling = local_support - 1
+        supports = {candidate: sum(found.get(candidate, 0)
+                                   for found in mined)
+                    for candidate in sorted(set().union(*mined))
+                    if sum(found.get(candidate, ceiling)
+                           for found in mined) >= support}
+        recounts = [[candidate for candidate in supports
+                     if candidate not in found] if ceiling else []
+                    for found in mined]
+        replies = self._scatter([
+            replace(count, patterns=[list(candidate)
+                                     for candidate in todo])
+            if todo else None for todo in recounts])
+        for todo, reply in zip(recounts, replies):
+            if todo:
+                for candidate, found in zip(todo, reply.supports):
+                    supports[candidate] += found
         patterns = [SequentialPattern(sequence=candidate, support=found)
-                    for candidate, found
-                    in zip(candidates, recount.supports)
+                    for candidate, found in supports.items()
                     if found >= support]
         patterns.sort(key=lambda p: (-p.support, p.sequence))
         return P.PatternList(patterns=patterns)

@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mining import similarity
 from repro.mining.prefixspan import (
@@ -88,13 +88,36 @@ def test_prefixspan_matches_reference(sequences, min_support,
         == reference_prefixspan(sequences, min_support, max_length)
 
 
-@settings(max_examples=100, deadline=None)
-@given(corpora, st.lists(st.lists(st.sampled_from("abcdef"),
-                                  max_size=4), max_size=10))
+#: Candidate lists for the trie recount: the empty pattern, duplicates,
+#: patterns longer than any drawn sequence (which hold at most 7
+#: items), and sets whose prefixes are absent.
+candidate_lists = st.lists(
+    st.lists(st.sampled_from("abcdef"), max_size=9),
+    max_size=12).flatmap(
+    lambda base: st.lists(st.sampled_from(base), max_size=12)
+    .map(lambda extra: base + extra) if base else st.just(base))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora, candidate_lists)
+@example([list("abcab"), list("ba"), list("abcab"), []],
+         [list("abc"), [], list("abc"), list("ababababa"), list("c"),
+          list("bca"), list("ab"), [], list("f")])
 def test_pattern_supports_match_per_pattern_recount(sequences,
                                                     patterns):
     assert pattern_supports(sequences, patterns) == [
         pattern_support(sequences, pattern) for pattern in patterns]
+
+
+def test_pattern_supports_edge_patterns():
+    sequences = [list("abcab"), list("abcab"), list("ba"), []]
+    assert pattern_supports(sequences, []) == []
+    assert pattern_supports([], [[], ["a"]]) == [0, 0]
+    # The empty pattern counts every sequence, the empty one too; a
+    # pattern with no stored prefix still counts; duplicates agree.
+    assert pattern_supports(
+        sequences, [[], list("bab"), list("cab"), list("bab"),
+                    list("abcabc")]) == [4, 2, 2, 2, 0]
 
 
 def test_prefixspan_keeps_its_errors():

@@ -142,6 +142,58 @@ def test_command_bytes_match(reference, sharded, command):
     assert wire(sharded, command) == wire(reference, command)
 
 
+def raw(kind, **fields):
+    """A command's wire bytes with each field value spliced in as
+    literal JSON text — ``NaN``, ``Infinity`` and ``1e400`` included,
+    which no encoder emits."""
+    body = ['"v":1', '"command":"{}"'.format(kind),
+            '"session":"{}"'.format(SESSION)]
+    body += ['"{}":{}'.format(name, text) for name, text in fields.items()]
+    return ("{" + ",".join(body) + "}").encode("utf-8")
+
+
+#: Numeric fields that are not finite or not integers, and malformed
+#: pattern lists: each a 400 ``bad_request`` with the same bytes on
+#: every engine.
+MALFORMED = [
+    pytest.param(raw("MinePatterns", min_support=text),
+                 id="MinePatterns-min_support-" + text)
+    for text in ("NaN", "Infinity", "-Infinity", "1e400", '"0.1"',
+                 "true")
+] + [
+    pytest.param(raw("MinePatterns", max_length=text),
+                 id="MinePatterns-max_length-" + text)
+    for text in ("NaN", "Infinity")
+] + [
+    pytest.param(raw("RunQuery", limit=text),
+                 id="RunQuery-limit-" + text)
+    for text in ("NaN", "2.5", '"5"', "Infinity")
+] + [
+    pytest.param(raw("RunQuery", offset="Infinity"),
+                 id="RunQuery-offset-Infinity"),
+] + [
+    pytest.param(raw("CountPatterns", patterns=text),
+                 id="CountPatterns-patterns-" + text)
+    for text in ('["ab"]', "[[1,2]]", '[["zone60886",["a"]]]', '"ab"')
+]
+
+
+@pytest.mark.parametrize("body", MALFORMED)
+def test_malformed_numbers_and_patterns_match(reference, sharded, body):
+    status, reply = execute_json(reference, body)
+    assert status == 400
+    assert json.loads(reply)["code"] == "bad_request"
+    assert execute_json(sharded, body) == (status, reply)
+
+
+def test_offset_past_maxsize_is_an_empty_page(reference, sharded):
+    body = raw("RunQuery", limit=2, offset=str(10 ** 30))
+    status, reply = execute_json(reference, body)
+    assert status == 200
+    assert json.loads(reply)["hits"] == []
+    assert execute_json(sharded, body) == (status, reply)
+
+
 ORDERINGS = [(None, False), ("doc_id", False), ("doc_id", True),
              ("mo_id", False), ("t_start", False), ("t_end", True),
              ("duration", False), ("duration", True),
