@@ -14,8 +14,9 @@ Run as a script (not under pytest-benchmark): it measures
 * a cached rebuild (inter-stage cache warm) vs a cold build;
 * ``similarity_matrix`` with the memoized LCA + alphabet-pair table
   vs the seed's per-cell algorithm;
-* the ``IntervalIndex`` sorted-once build and the timing-off
-  ``_push`` fast path (informational).
+* the ``IntervalIndex`` build (one stable argsort by start and a
+  running maximum of ends) and the timing-off ``_push`` fast path
+  (informational).
 
 ``--out`` writes the measurements as ``BENCH_pipeline.json``;
 ``--check BASELINE`` fails (exit 1) when a machine-portable speedup

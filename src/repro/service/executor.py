@@ -24,8 +24,10 @@ code (``unknown_session``, ``bad_cursor``, ...).
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -433,9 +435,10 @@ def assemble_page(window: List, spec: PageSpec
 
 
 def _keyset_view(results: ResultSet, order_by: str,
-                 descending: bool,
-                 boundary: Optional[Tuple]) -> List:
-    """Explicitly ordered hits strictly past a keyset boundary.
+                 descending: bool, boundary: Optional[Tuple],
+                 count: int) -> List:
+    """The first ``count`` explicitly ordered hits strictly past a
+    keyset boundary.
 
     The sort key is the composite ``(order-key value, doc_id)`` with
     *both* components following the sort direction, so the boundary —
@@ -443,20 +446,23 @@ def _keyset_view(results: ResultSet, order_by: str,
     into "already seen" and "still to serve" even when many documents
     share an order-key value.  Documents ingested mid-walk land on
     whichever side their composite key dictates: nothing already
-    served repeats, nothing still ahead is skipped.
+    served repeats, nothing still ahead is skipped.  Composite keys
+    are unique, so a bounded selection of ``count`` hits equals the
+    same-length prefix of the full sort.
 
     Raises:
         TypeError: when the boundary value does not order against
             the key (a forged or stale cursor).
     """
     key_fn = ORDER_KEYS[order_by]
-    composite = lambda hit: (key_fn(hit), hit.doc_id)  # noqa: E731
-    ordered = sorted(results, key=composite, reverse=descending)
-    if boundary is None:
-        return ordered
-    if descending:
-        return [hit for hit in ordered if composite(hit) < boundary]
-    return [hit for hit in ordered if composite(hit) > boundary]
+    keyed = [((key_fn(hit), hit.doc_id), hit) for hit in results]
+    if boundary is not None:
+        if descending:
+            keyed = [pair for pair in keyed if pair[0] < boundary]
+        else:
+            keyed = [pair for pair in keyed if pair[0] > boundary]
+    select = heapq.nlargest if descending else heapq.nsmallest
+    return [hit for _, hit in select(count, keyed, key=itemgetter(0))]
 
 
 def _run_query(registry: SessionRegistry,
@@ -478,8 +484,9 @@ def _run_query(registry: SessionRegistry,
                 start_after=resume_after))
     elif spec.order_by is not None:
         try:
-            hits_past = _keyset_view(query.execute(), spec.order_by,
-                                     command.descending, boundary)
+            hits_past = _keyset_view(
+                query.execute(), spec.order_by, command.descending,
+                boundary, spec.offset + spec.limit + 1)
         except TypeError:
             raise CommandError(
                 "bad_cursor",

@@ -3,12 +3,12 @@
 The SITM is a *data model*; this package is the corresponding data
 management substrate: a typed in-memory trajectory store with the
 secondary indexes symbolic trajectory workloads need (inverted state /
-annotation / moving-object indexes, an interval index over presence
-times) and a declarative query API over them — logical expression
-trees (:mod:`repro.storage.expr`) compiled by a cost-based planner
-(:mod:`repro.storage.planner`) into lazy, streaming result sets
-(:mod:`repro.storage.results`).  CSV / JSON-lines persistence rounds
-it out.  See ``docs/query.md`` for the query model.
+annotation / moving-object indexes, start-sorted interval arrays over
+presence times) and a declarative query API over them — logical
+expression trees (:mod:`repro.storage.expr`) compiled by a cost-based
+planner (:mod:`repro.storage.planner`) into lazy, streaming result
+sets (:mod:`repro.storage.results`).  CSV / JSON-lines persistence
+rounds it out.  See ``docs/query.md`` for the query model.
 """
 
 from repro.storage.intervals import Interval, IntervalIndex

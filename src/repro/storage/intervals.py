@@ -2,20 +2,25 @@
 
 Presence intervals are the SITM's temporal primitive, so "who was in
 zone X between t1 and t2" is the store's hottest query shape.  The
-index is a classic centered interval tree built once over the corpus
-(the store rebuilds it lazily after inserts), giving
-O(log n + k) stabbing and overlap queries instead of a corpus scan.
+index is a set of flat, start-sorted arrays built once over the corpus
+(the store rebuilds it lazily after inserts): ``starts`` and ``ends``
+in start order, plus ``reach``, the running maximum of ``ends``.  An
+overlap query is two binary searches and one vectorised comparison
+over the bracket between them — no per-interval Python call.
 
-Payloads are opaque to the tree; the store attaches ``(doc_id,
-state)`` pairs so a stab proves containment *and* answers "in which
-state" in one step — consumers never rescan a trace the index already
-searched.
+Results come back in start order (a stable sort, so intervals with
+equal starts keep their input order).  Payloads are opaque to the
+index; :meth:`IntervalIndex.positions` answers with slots in that
+order, so a caller can keep its own columns aligned to :attr:`order`
+and read them by position without building one object per hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, List, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -41,151 +46,102 @@ class Interval(Generic[T]):
         return self.start <= end and start <= self.end
 
 
-class _Node(Generic[T]):
-    """One node of the centered interval tree."""
-
-    __slots__ = ("center", "by_start", "by_end", "left", "right")
-
-    def __init__(self, center: float, by_start: List[Interval[T]],
-                 by_end: List[Interval[T]]) -> None:
-        self.center = center
-        self.by_start = by_start
-        self.by_end = by_end
-        self.left: Optional["_Node[T]"] = None
-        self.right: Optional["_Node[T]"] = None
+_NO_POSITIONS = np.zeros(0, dtype=np.intp)
 
 
 class IntervalIndex(Generic[T]):
-    """Centered interval tree over a fixed set of intervals.
+    """Start-sorted interval arrays over a fixed set of intervals.
 
-    The build sorts the intervals (and their endpoints) exactly once
-    and *partitions* the sorted lists down the recursion — a stable
-    partition of a sorted list stays sorted — so construction is
-    O(n log n) instead of the classic O(n log² n) re-sort per node.
-    The resulting tree is identical to the re-sorting build's.
+    Slot ``i`` holds the interval with the ``i``-th smallest start.
+    ``reach[i]`` is the largest end among slots ``0..i``, so it never
+    decreases: every slot before the first ``reach >= start`` ends
+    before the window opens, and every slot after the last
+    ``starts <= end`` opens after it closes.  Between the two, one
+    ``ends >= start`` comparison is exact for closed intervals.
     """
 
+    __slots__ = ("starts", "ends", "reach", "order", "_payloads")
+
     def __init__(self, intervals: Sequence[Interval[T]]) -> None:
-        self._size = len(intervals)
-        items = list(intervals)
-        by_start = sorted(items, key=lambda iv: iv.start)
-        by_end = sorted(items, key=lambda iv: -iv.end)
-        endpoints: List[Tuple[float, Interval[T]]] = sorted(
-            [(iv.start, iv) for iv in items]
-            + [(iv.end, iv) for iv in items],
-            key=lambda pair: pair[0])
-        self._root = self._build(by_start, by_end, endpoints)
+        self._install([iv.start for iv in intervals],
+                      [iv.end for iv in intervals],
+                      [iv.payload for iv in intervals])
+
+    @classmethod
+    def from_columns(cls, starts: Sequence[float], ends: Sequence[float],
+                     payloads: Sequence[T]) -> "IntervalIndex[T]":
+        """An index over parallel columns, with no ``Interval`` built.
+
+        Raises:
+            ValueError: when the columns differ in length or an end
+                precedes its start.
+        """
+        index = cls.__new__(cls)
+        index._install(starts, ends, payloads)
+        return index
+
+    def _install(self, starts: Sequence[float], ends: Sequence[float],
+                 payloads: Sequence[T]) -> None:
+        if not len(starts) == len(ends) == len(payloads):
+            raise ValueError("interval columns differ in length")
+        start_array = np.asarray(starts, dtype=np.float64)
+        end_array = np.asarray(ends, dtype=np.float64)
+        if np.any(end_array < start_array):
+            raise ValueError("interval end precedes start")
+        #: Input position of each slot (a stable sort by start).
+        self.order = np.argsort(start_array, kind="stable")
+        self.starts = start_array[self.order]
+        self.ends = end_array[self.order]
+        self.reach = np.maximum.accumulate(self.ends)
+        self._payloads: List[T] = [payloads[i]
+                                   for i in self.order.tolist()]
 
     def __len__(self) -> int:
-        return self._size
-
-    def _build(self, by_start: List[Interval[T]],
-               by_end: List[Interval[T]],
-               endpoints: List[Tuple[float, Interval[T]]]
-               ) -> Optional[_Node[T]]:
-        if not by_start:
-            return None
-        center = endpoints[len(endpoints) // 2][0]
-        left_start: List[Interval[T]] = []
-        right_start: List[Interval[T]] = []
-        span_start: List[Interval[T]] = []
-        for interval in by_start:
-            if interval.end < center:
-                left_start.append(interval)
-            elif interval.start > center:
-                right_start.append(interval)
-            else:
-                span_start.append(interval)
-        left_end: List[Interval[T]] = []
-        right_end: List[Interval[T]] = []
-        span_end: List[Interval[T]] = []
-        for interval in by_end:
-            if interval.end < center:
-                left_end.append(interval)
-            elif interval.start > center:
-                right_end.append(interval)
-            else:
-                span_end.append(interval)
-        left_points: List[Tuple[float, Interval[T]]] = []
-        right_points: List[Tuple[float, Interval[T]]] = []
-        for pair in endpoints:
-            interval = pair[1]
-            if interval.end < center:
-                left_points.append(pair)
-            elif interval.start > center:
-                right_points.append(pair)
-        node = _Node(center, span_start, span_end)
-        node.left = self._build(left_start, left_end, left_points)
-        node.right = self._build(right_start, right_end, right_points)
-        return node
+        return len(self._payloads)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def stab(self, t: float) -> List[Interval[T]]:
-        """All intervals containing time ``t``."""
-        results: List[Interval[T]] = []
-        node = self._root
-        while node is not None:
-            if t < node.center:
-                for interval in node.by_start:
-                    if interval.start > t:
-                        break
-                    results.append(interval)
-                node = node.left
-            elif t > node.center:
-                for interval in node.by_end:
-                    if interval.end < t:
-                        break
-                    results.append(interval)
-                node = node.right
-            else:
-                results.extend(node.by_start)
-                node = None
-        return results
-
-    def overlapping(self, start: float, end: float) -> List[Interval[T]]:
-        """All intervals intersecting ``[start, end]``.
+    def positions(self, start: float, end: float) -> np.ndarray:
+        """Slots of every interval intersecting ``[start, end]``, in
+        start order.
 
         Raises:
             ValueError: when ``end < start``.
         """
         if end < start:
             raise ValueError("query end precedes start")
-        results: List[Interval[T]] = []
-        self._collect_overlaps(self._root, start, end, results)
-        return results
+        if not start <= end:  # a NaN bound intersects nothing
+            return _NO_POSITIONS
+        lo = int(np.searchsorted(self.reach, start, "left"))
+        hi = int(np.searchsorted(self.starts, end, "right"))
+        if lo >= hi:
+            return _NO_POSITIONS
+        return lo + np.flatnonzero(self.ends[lo:hi] >= start)
 
-    def _collect_overlaps(self, node: Optional[_Node[T]], start: float,
-                          end: float,
-                          results: List[Interval[T]]) -> None:
-        """Iterative pre-order walk (left before right), no recursion."""
-        stack: List[_Node[T]] = []
-        if node is not None:
-            stack.append(node)
-        while stack:
-            node = stack.pop()
-            for interval in node.by_start:
-                if interval.start > end:
-                    break
-                if interval.overlaps(start, end):
-                    results.append(interval)
-            # Push right first so the left subtree is visited first,
-            # preserving the recursive version's result order.
-            if end > node.center and node.right is not None:
-                stack.append(node.right)
-            if start < node.center and node.left is not None:
-                stack.append(node.left)
+    def payloads_at(self, positions: np.ndarray) -> List[T]:
+        """The payloads of the given slots, in the given order."""
+        payloads = self._payloads
+        return [payloads[i] for i in positions.tolist()]
+
+    def stab(self, t: float) -> List[Interval[T]]:
+        """All intervals containing time ``t``, in start order."""
+        return self.overlapping(t, t)
+
+    def overlapping(self, start: float, end: float) -> List[Interval[T]]:
+        """All intervals intersecting ``[start, end]``, in start order.
+
+        Raises:
+            ValueError: when ``end < start``.
+        """
+        return self._intervals(self.positions(start, end))
 
     def all_intervals(self) -> List[Interval[T]]:
-        """Every stored interval (no particular order)."""
-        results: List[Interval[T]] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                continue
-            results.extend(node.by_start)
-            stack.append(node.left)
-            stack.append(node.right)
-        return results
+        """Every stored interval, in start order."""
+        return self._intervals(np.arange(len(self)))
+
+    def _intervals(self, positions: np.ndarray) -> List[Interval[T]]:
+        return [Interval(start, end, payload) for start, end, payload
+                in zip(self.starts[positions].tolist(),
+                       self.ends[positions].tolist(),
+                       self.payloads_at(positions))]

@@ -84,8 +84,13 @@ class ResultSet:
         return sum(1 for _ in self)
 
     def to_list(self) -> List[StoredTrajectory]:
-        """Materialize every hit (the old eager ``execute()``)."""
-        return list(self)
+        """Materialize every hit (the old eager ``execute()``).
+
+        Iterates the source directly: ``list(self)`` would take
+        :meth:`__len__` as a length hint, running a whole second
+        count just to presize the list.
+        """
+        return list(self._source())
 
     # ------------------------------------------------------------------
     # derived lazy views

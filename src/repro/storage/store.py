@@ -8,11 +8,14 @@ maintains three secondary indexes over them:
 * an inverted index (annotation kind, value) → trajectories carrying
   it (whole-trajectory or stay-level);
 * an inverted index moving object → its trajectories;
-* a centered interval index over presence intervals for time queries.
+* start-sorted interval arrays over presence intervals for time
+  queries, with a doc-id column aligned to them.
 
 Indexes are maintained incrementally on insert; the interval index —
 a static structure — is rebuilt lazily on first temporal query after a
-write.
+write, and published together with its doc-id column as one immutable
+object, so a reader never pairs one build's positions with another
+build's doc ids.
 
 The store is safe for **concurrent readers with a single writer**: a
 :class:`~repro.storage.locks.ReadWriteLock` guards every public
@@ -28,12 +31,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple)
+
+import numpy as np
 
 from repro.core.annotations import AnnotationKind, AnnotationValue
 from repro.core.trajectory import SemanticTrajectory
 from repro.storage.index import InvertedIndex
-from repro.storage.intervals import Interval, IntervalIndex
+from repro.storage.intervals import IntervalIndex
 from repro.storage.locks import ReadWriteLock
 
 
@@ -43,6 +49,14 @@ class StoredTrajectory:
 
     doc_id: int
     trajectory: SemanticTrajectory
+
+
+class _TemporalIndex(NamedTuple):
+    """One build of the interval index, published by a single
+    assignment: ``docs[i]`` is the document of interval slot ``i``."""
+
+    intervals: IntervalIndex  # payload: the stay's state
+    docs: np.ndarray
 
 
 #: Process-wide store identities (see :attr:`TrajectoryStore.serial`).
@@ -59,7 +73,7 @@ class TrajectoryStore:
         self._by_state = InvertedIndex()
         self._by_annotation = InvertedIndex()
         self._by_mo = InvertedIndex()
-        self._interval_index: Optional[IntervalIndex] = None
+        self._interval_index: Optional[_TemporalIndex] = None
         self._span: Optional[Tuple[float, float]] = None
         self._lock = ReadWriteLock()
         self._wal = None
@@ -326,9 +340,9 @@ class TrajectoryStore:
                            end: float) -> FrozenSet[int]:
         """Trajectories with a presence interval intersecting the window."""
         with self._lock.read_locked():
-            index = self._ensure_interval_index()
-            return frozenset(iv.payload[0]
-                             for iv in index.overlapping(start, end))
+            temporal = self._ensure_interval_index()
+            positions = temporal.intervals.positions(start, end)
+            return frozenset(temporal.docs[positions].tolist())
 
     def states_occupied_at(self, t: float) -> Dict[int, str]:
         """doc id → state for every trajectory present at time ``t``.
@@ -337,37 +351,45 @@ class TrajectoryStore:
         rescanned — the stab answers the question outright.  When
         bounded sensing overlap makes two stays of one trajectory
         contain ``t``, the later stay wins (the newer detection
-        supersedes, matching ``Trace.entry_at``).
+        supersedes, matching ``Trace.entry_at``): hits come in start
+        order, ties in trace order, so the last one per document is
+        the one kept.
         """
         with self._lock.read_locked():
-            index = self._ensure_interval_index()
-            hits: Dict[int, str] = {}
-            starts: Dict[int, float] = {}
-            for interval in index.stab(t):
-                doc_id, state = interval.payload
-                if doc_id not in hits or interval.start >= starts[doc_id]:
-                    hits[doc_id] = state
-                    starts[doc_id] = interval.start
-            return hits
+            temporal = self._ensure_interval_index()
+            positions = temporal.intervals.positions(t, t)
+            return dict(zip(temporal.docs[positions].tolist(),
+                            temporal.intervals.payloads_at(positions)))
 
-    def _ensure_interval_index(self) -> IntervalIndex:
-        """The interval index; payloads are ``(doc_id, state)``.
+    def _ensure_interval_index(self) -> _TemporalIndex:
+        """The interval index and its aligned doc-id column.
 
         Caller must hold the lock (read side suffices: concurrent
-        readers may both build, which is idempotent — writers, the
-        only invalidators, are excluded while any reader is in here).
+        readers may both build, which is idempotent, and each reads
+        only the bundle it got back — writers, the only invalidators,
+        are excluded while any reader is in here).
         """
-        if self._interval_index is None:
-            self._build_interval_index()
-        return self._interval_index
+        temporal = self._interval_index
+        if temporal is None:
+            temporal = self._build_interval_index()
+        return temporal
 
-    def _build_interval_index(self) -> None:
-        intervals: List[Interval] = []
+    def _build_interval_index(self) -> _TemporalIndex:
+        starts: List[float] = []
+        ends: List[float] = []
+        states: List[str] = []
+        docs: List[int] = []
         for doc_id, trajectory in enumerate(self._docs):
             for entry in trajectory.trace:
-                intervals.append(Interval(entry.t_start, entry.t_end,
-                                          (doc_id, entry.state)))
-        self._interval_index = IntervalIndex(intervals)
+                starts.append(entry.t_start)
+                ends.append(entry.t_end)
+                states.append(entry.state)
+                docs.append(doc_id)
+        intervals = IntervalIndex.from_columns(starts, ends, states)
+        temporal = _TemporalIndex(
+            intervals, np.asarray(docs, dtype=np.int64)[intervals.order])
+        self._interval_index = temporal
+        return temporal
 
     # ------------------------------------------------------------------
     # statistics

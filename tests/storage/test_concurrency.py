@@ -247,3 +247,80 @@ class TestConcurrentStore:
             thread.join(timeout=60)
         assert not errors
         assert all(r == results[0] for r in results)
+
+    def test_windowed_reads_race_extend(self):
+        """Windowed lookups and stabs racing a writer's ``extend``:
+        every answer is the brute-force answer over some document
+        prefix between the store's length before and after the call
+        (the index and its doc-id column come from one build)."""
+        batches = [_batch(index, size=10) for index in range(30)]
+        corpus = [doc for batch in batches for doc in batch]
+        windows = [(0.0, 1e9), (5000.0, 12000.0), (20005.0, 20005.0),
+                   (29100.0, 29150.0), (-5.0, -1.0)]
+        active = {window: sorted(
+            doc_id for doc_id, doc in enumerate(corpus)
+            if doc.trace.entries_overlapping(*window))
+            for window in windows}
+        stab_times = [1050.0, 15005.0, 28110.0]
+        occupied = {t: {doc_id: doc.trace.entry_at(t).state
+                        for doc_id, doc in enumerate(corpus)
+                        if doc.trace.entry_at(t) is not None}
+                    for t in stab_times}
+        store = TrajectoryStore()
+        store.extend(batches[0])
+        stop = threading.Event()
+        errors = []
+        checked = []
+
+        def some_prefix(before, after, expected):
+            return any(expected(length)
+                       for length in range(before, after + 1))
+
+        def writer():
+            try:
+                for batch in batches[1:]:
+                    store.extend(batch)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+            finally:
+                stop.set()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    for window in windows:
+                        before = len(store)
+                        got = store.ids_active_between(*window)
+                        after = len(store)
+                        assert some_prefix(
+                            before, after,
+                            lambda n: got == {i for i in active[window]
+                                              if i < n}), window
+                    for t in stab_times:
+                        before = len(store)
+                        got = store.states_occupied_at(t)
+                        after = len(store)
+                        assert some_prefix(
+                            before, after,
+                            lambda n: got == {
+                                i: state for i, state
+                                in occupied[t].items() if i < n}), t
+                    checked.append(1)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        writer_thread = threading.Thread(target=writer)
+        for thread in readers:
+            thread.start()
+        writer_thread.start()
+        writer_thread.join(timeout=60)
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=60)
+        assert not errors, errors[:3]
+        assert checked
+        assert len(store) == len(corpus)
+        for window in windows:
+            assert sorted(store.ids_active_between(*window)) \
+                == active[window]

@@ -1,4 +1,4 @@
-"""Tests for the centered interval tree."""
+"""Tests for the start-sorted interval index."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +60,45 @@ class TestIndex:
 
     def test_all_intervals(self, index):
         assert len(index.all_intervals()) == 4
+
+    def test_results_come_in_start_order(self):
+        """``overlapping``/``stab`` answer in start order, equal starts
+        in input order (a stable sort) — not in any tree order."""
+        index = IntervalIndex([
+            Interval(20, 30, "late"),
+            Interval(0, 100, "wide"),
+            Interval(5, 25, "first-at-5"),
+            Interval(5, 22, "second-at-5"),
+            Interval(40, 50, "out"),
+        ])
+        assert [iv.payload for iv in index.overlapping(21, 24)] \
+            == ["wide", "first-at-5", "second-at-5", "late"]
+        assert [iv.payload for iv in index.stab(22)] \
+            == ["wide", "first-at-5", "second-at-5", "late"]
+        assert [iv.start for iv in index.all_intervals()] \
+            == [0, 5, 5, 20, 40]
+
+    def test_from_columns_matches_intervals(self):
+        intervals = [Interval(3, 9, "a"), Interval(1, 2, "b"),
+                     Interval(4, 4, "c")]
+        columns = IntervalIndex.from_columns([3, 1, 4], [9, 2, 4],
+                                             ["a", "b", "c"])
+        assert columns.all_intervals() \
+            == IntervalIndex(intervals).all_intervals()
+        assert columns.order.tolist() == [1, 0, 2]
+        assert columns.payloads_at(columns.positions(4, 4)) == ["a", "c"]
+
+    def test_from_columns_rejects_bad_columns(self):
+        with pytest.raises(ValueError):
+            IntervalIndex.from_columns([1, 2], [3], ["a", "b"])
+        with pytest.raises(ValueError):
+            IntervalIndex.from_columns([5], [4], ["a"])
+
+    def test_nan_window_intersects_nothing(self, index):
+        nan = float("nan")
+        assert index.overlapping(0, nan) == []
+        assert index.overlapping(nan, 100) == []
+        assert index.stab(nan) == []
 
 
 intervals_strategy = st.lists(
