@@ -7,15 +7,22 @@ designed so its symbolic state sequences feed such miners directly —
 at any hierarchy granularity (zones, floors, wings) thanks to lifting.
 
 This is the classic PrefixSpan algorithm (Pei et al. 2001) specialised
-to single-item events (a visitor is in one cell at a time), which
-makes the projected-database machinery simple and fast.
+to single-item events (a visitor is in one cell at a time), run level
+by level in numpy: one projection pass per pattern length serves both
+the miner (:func:`prefixspan`) and the candidate recount
+(:func:`pattern_supports`).  Supports stay exact integers: they are
+``np.bincount`` sums of float64 multiplicities, exact below 2**53
+sequences.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,16 +60,131 @@ class SequentialPattern:
                                  int(data["support"]))
 
 
+#: A level of projected entries, ``(node, offset)``: entry ``i`` is
+#: the suffix from position ``offset[i]`` to the end of its distinct
+#: sequence, projected by node ``node[i]`` of its level (int32 both).
+Level = Tuple[np.ndarray, np.ndarray]
+
+
+class _Database:
+    """A corpus's distinct sequences laid out flat for the kernel.
+
+    The sequences collapse into ``Counter(map(tuple, sequences))`` (the
+    Louvre's 4,819 visits have 2,024 distinct sequences), each weighted
+    by its multiplicity, and the alphabet is coded as integers in
+    sorted order, so patterns come out exactly as over the raw input.
+    ``codes`` holds the distinct sequences back to back; per position,
+    ``end`` is where its sequence ends, ``weight`` the sequence's
+    multiplicity and ``previous`` the last position before it with the
+    same code (-1 if none).  Position ``p`` of a suffix starting at
+    ``offset`` is the first occurrence of its item in that suffix
+    exactly when ``previous[p] < offset``: an earlier occurrence in
+    another sequence lies before the suffix's own sequence.
+    """
+
+    def __init__(self, sequences: Sequence[Sequence[str]]) -> None:
+        counts = Counter(map(tuple, sequences))
+        items = list(chain.from_iterable(counts))
+        self.alphabet = sorted(set(items))
+        self.code_of = dict(zip(self.alphabet, range(len(self.alphabet))))
+        self.sequences = sum(counts.values())
+        self.codes = np.fromiter(map(self.code_of.__getitem__, items),
+                                 np.int32, len(items))
+        del items
+        order = np.argsort(self.codes, kind="stable").astype(np.int32)
+        self.previous = np.full(len(self.codes), -1, np.int32)
+        same = self.codes[order[1:]] == self.codes[order[:-1]]
+        self.previous[order[1:][same]] = order[:-1][same]
+        del order, same
+        lengths = np.fromiter(map(len, counts), np.int32, len(counts))
+        ends = np.cumsum(lengths, dtype=np.int32)
+        self.end = np.repeat(ends, lengths)
+        self.weight = np.repeat(
+            np.fromiter(counts.values(), np.float64, len(counts)), lengths)
+        starts = (ends - lengths)[lengths > 0]
+        #: The root level: every non-empty sequence, projected by the
+        #: empty pattern (node 0).
+        self.root: Level = (np.zeros(len(starts), np.int32), starts)
+
+    def project(self, level: Level, nodes: int) -> "_Pass":
+        """The projection pass over one level of ``nodes`` nodes.
+
+        Expands every entry's suffix with one ``np.repeat`` and a
+        segment ``arange``, keeps each item's first occurrence (by
+        ``previous``), keys the rows by ``node * |alphabet| + item``
+        (int32 unless that can pass 2**31) and sums each key's
+        weighted support with one ``np.bincount``.  The support table is sized by the rows: dense over every key
+        when that is no larger than the rows, else over the rows'
+        distinct keys, compacted by a stable argsort (``np.unique``
+        would import ``numpy.ma``, +1.6 MB resident).
+        """
+        node, offset = level
+        keys = nodes * len(self.alphabet)
+        lengths = self.end[offset] - offset
+        entry = np.repeat(np.arange(len(node), dtype=np.int32), lengths)
+        shift = offset - (np.cumsum(lengths, dtype=np.int32) - lengths)
+        del lengths
+        position = shift[entry]
+        del shift
+        position += np.arange(len(entry), dtype=np.int32)
+        first = self.previous[position] < offset[entry]
+        position, entry = position[first], entry[first]
+        del first
+        slot = node[entry].astype(
+            np.int32 if keys < 2 ** 31 else np.int64, copy=False)
+        del entry
+        slot *= len(self.alphabet)
+        slot += self.codes[position]
+        if keys <= len(slot):
+            table = np.arange(keys, dtype=slot.dtype)
+        else:
+            table = slot[np.argsort(slot, kind="stable")]
+            distinct = np.empty(len(table), bool)
+            distinct[:1] = True
+            np.not_equal(table[1:], table[:-1], out=distinct[1:])
+            table = table[distinct]
+            del distinct
+            slot = np.searchsorted(table, slot)
+        support = np.bincount(slot, weights=self.weight[position],
+                              minlength=len(table))
+        return _Pass(self, table, support, slot, position)
+
+
+class _Pass:
+    """One level's projection: the sorted key table with each key's
+    weighted support, and per row its slot in the table and its
+    item's position."""
+
+    def __init__(self, database: _Database, table: np.ndarray,
+                 support: np.ndarray, slot: np.ndarray,
+                 position: np.ndarray) -> None:
+        self.database = database
+        self.table = table
+        self.support = support
+        self.slot = slot
+        self.position = position
+
+    def advance(self, node_of_slot: np.ndarray) -> Level:
+        """The next level: every row whose slot is a node there
+        (``node_of_slot`` >= 0), projected past its item; exhausted
+        suffixes drop out.  Consumes the rows."""
+        node = node_of_slot[self.slot]
+        offset = self.position
+        self.slot = self.position = None
+        live = node >= 0
+        live &= offset + 1 < self.database.end[offset]
+        offset += 1
+        return node[live], offset[live]
+
+
 def prefixspan(sequences: Sequence[Sequence[str]],
                min_support: int,
                max_length: int = 6) -> List[SequentialPattern]:
     """Mine frequent sequential patterns.
 
-    Corpora repeat state sequences heavily (the Louvre's 4,819 visits
-    have 2,024 distinct ones), so the miner runs over the distinct
-    sequences, each weighted by its multiplicity — the ``Counter`` of
-    location tuples idiom — with the alphabet coded as integers in
-    sorted order, so patterns come out exactly as over the raw input.
+    Level by level over the distinct sequences (:class:`_Database`):
+    the nodes of level ``k`` are the frequent ``k``-patterns, in sorted
+    order, and one projection pass finds the next level's.
 
     Args:
         sequences: the symbolic state sequences (one per trajectory).
@@ -80,50 +202,31 @@ def prefixspan(sequences: Sequence[Sequence[str]],
         raise ValueError("min_support must be at least 1")
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    counts = Counter(map(tuple, sequences))
-    alphabet = sorted({item for sequence in counts for item in sequence})
-    code_of = {item: code for code, item in enumerate(alphabet)}
-    # A projected database is a list of (codes, count, start offset).
-    initial = [(tuple(code_of[item] for item in sequence), count, 0)
-               for sequence, count in counts.items()]
+    database = _Database(sequences)
+    alphabet, width = database.alphabet, len(database.alphabet)
     patterns: List[SequentialPattern] = []
-    _grow((), initial, alphabet, min_support, max_length, patterns)
+    prefixes: List[Tuple[str, ...]] = [()]
+    level = database.root
+    for length in range(1, max_length + 1):
+        if not len(level[0]):
+            break
+        projection = database.project(level, len(prefixes))
+        frequent = projection.support >= min_support
+        parents, items = np.divmod(projection.table[frequent], width)
+        prefixes = [prefixes[parent] + (alphabet[item],)
+                    for parent, item in zip(parents.tolist(),
+                                            items.tolist())]
+        patterns.extend(map(
+            SequentialPattern, prefixes,
+            projection.support[frequent].astype(np.int64).tolist()))
+        if length < max_length:
+            node_of_slot = np.full(len(frequent), -1, np.int32)
+            node_of_slot[frequent] = np.arange(len(prefixes),
+                                               dtype=np.int32)
+            level = projection.advance(node_of_slot)
+        del projection, frequent, parents, items
     patterns.sort(key=lambda p: (-p.support, p.sequence))
     return patterns
-
-
-def _grow(prefix: Tuple[str, ...],
-          projected: List[Tuple[Tuple[int, ...], int, int]],
-          alphabet: List[str], min_support: int, max_length: int,
-          out: List[SequentialPattern]) -> None:
-    """Extend ``prefix`` by every frequent item in its projection.
-
-    One pass: each sequence adds its count to the support of every
-    distinct item of its suffix and appends its projection past that
-    item's first occurrence to the item's bucket.
-    """
-    support: Dict[int, int] = {}
-    buckets: Dict[int, List[Tuple[Tuple[int, ...], int, int]]] = {}
-    leaves = len(prefix) + 1 >= max_length  # extensions project nothing
-    for codes, count, offset in projected:
-        seen = set()
-        for position in range(offset, len(codes)):
-            item = codes[position]
-            if item in seen:
-                continue
-            seen.add(item)
-            support[item] = support.get(item, 0) + count
-            if not leaves:
-                buckets.setdefault(item, []).append(
-                    (codes, count, position + 1))
-    for item in sorted(support):
-        if support[item] < min_support:
-            continue
-        new_prefix = prefix + (alphabet[item],)
-        out.append(SequentialPattern(new_prefix, support[item]))
-        if not leaves:
-            _grow(new_prefix, buckets[item], alphabet, min_support,
-                  max_length, out)
 
 
 def contains_pattern(sequence: Sequence[str],
@@ -146,41 +249,44 @@ def pattern_supports(sequences: Sequence[Sequence[str]],
                      patterns: Iterable[Sequence[str]]) -> List[int]:
     """:func:`pattern_support` of each pattern, in order.
 
-    One walk of the patterns' prefix trie over the distinct sequences,
-    each weighted by its multiplicity: a node's projection is its
-    parent's, each sequence advanced past the leftmost occurrence of
-    the node's item at or after its offset, so a prefix shared by many
-    patterns is matched once.  Each sequence carries its items' last
-    positions, which tell whether the item still occurs past the
-    offset before ``tuple.index`` looks for it.  The empty pattern
-    counts every sequence; duplicate patterns share a node.
+    The miner's projection pass, level by level over the candidates'
+    prefix trie instead of the frequent patterns: the nodes of level
+    ``k`` are the distinct candidate prefixes of length ``k``, in
+    sorted order, so their keys ``parent * |alphabet| + item`` come
+    out sorted and one ``np.searchsorted`` finds them in the pass's
+    table.  A prefix shared by many patterns is matched once.  The
+    empty pattern counts every sequence, a pattern holding a state no
+    sequence holds counts none, and duplicate patterns share a node.
     """
     patterns = [tuple(pattern) for pattern in patterns]
-    supports = [0] * len(patterns)
     if not patterns:
-        return supports
-    # A trie node is (children by item, indices of patterns ending here).
-    root: Tuple[Dict, List[int]] = ({}, [])
-    for index, pattern in enumerate(patterns):
-        node = root
-        for item in pattern:
-            node = node[0].setdefault(item, ({}, []))
-        node[1].append(index)
-    projected = [(sequence,
-                  {item: position for position, item in enumerate(sequence)},
-                  count, 0)
-                 for sequence, count
-                 in Counter(map(tuple, sequences)).items()]
-    stack = [(root, projected)]
-    while stack:
-        (children, ends), projected = stack.pop()
-        if ends:
-            support = sum(entry[2] for entry in projected)
-            for index in ends:
-                supports[index] = support
-        for item, child in children.items():
-            stack.append((child, [
-                (sequence, last, count, sequence.index(item, offset) + 1)
-                for sequence, last, count, offset in projected
-                if last.get(item, -1) >= offset]))
-    return supports
+        return []
+    database = _Database(sequences)
+    code_of, width = database.code_of, len(database.alphabet)
+    live = [pattern for pattern in set(patterns)
+            if all(item in code_of for item in pattern)]
+    depth = max(map(len, live), default=0)
+    support_of: Dict[Tuple[str, ...], int] = {(): database.sequences}
+    rank_of: Dict[Tuple[str, ...], int] = {(): 0}
+    level = database.root
+    for length in range(1, depth + 1):
+        if not len(level[0]):
+            break  # no sequence holds a prefix this long
+        prefixes = sorted({pattern[:length] for pattern in live
+                           if len(pattern) >= length})
+        projection = database.project(level, len(rank_of))
+        table = projection.table
+        keys = np.fromiter(
+            (rank_of[prefix[:-1]] * width + code_of[prefix[-1]]
+             for prefix in prefixes), table.dtype, len(prefixes))
+        slot = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        found = table[slot] == keys
+        support_of.update(zip(prefixes, np.where(
+            found, projection.support[slot], 0).astype(np.int64).tolist()))
+        if length < depth:
+            node_of_slot = np.full(len(table), -1, np.int32)
+            node_of_slot[slot[found]] = np.flatnonzero(found)
+            level = projection.advance(node_of_slot)
+            rank_of = {prefix: rank for rank, prefix in enumerate(prefixes)}
+        del projection, table, keys, slot, found
+    return [support_of.get(pattern, 0) for pattern in patterns]

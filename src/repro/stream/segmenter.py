@@ -207,6 +207,8 @@ class WatermarkSegmenter:
         self.metrics = StreamMetrics()
         #: open episodes: ``(mo_id, visit_id) -> records`` in order.
         self._buffers: Dict[BufferKey, List[DetectionRecord]] = {}
+        #: the records in ``_buffers``, kept at every change to it.
+        self._open_events = 0
         #: per-visitor repair state — carried *across* episodes,
         #: exactly like the batch ``_resolve_overlaps`` last_end map.
         self._last_end: Dict[str, float] = {}
@@ -228,7 +230,7 @@ class WatermarkSegmenter:
     @property
     def open_events(self) -> int:
         """Events buffered in open episodes (the memory gauge)."""
-        return sum(len(records) for records in self._buffers.values())
+        return self._open_events
 
     @property
     def repair_visitors(self) -> int:
@@ -293,6 +295,7 @@ class WatermarkSegmenter:
         if buffer is None:
             buffer = self._buffers.setdefault(key, [])
         buffer.append(record)
+        self._open_events += 1
         self._last_end[record.mo_id] = max(
             record.t_end,
             previous_end if previous_end is not None else record.t_end)
@@ -325,6 +328,7 @@ class WatermarkSegmenter:
 
     def _emit(self, key: BufferKey) -> SemanticTrajectory:
         records = self._buffers.pop(key)
+        self._open_events -= len(records)
         self._encoded.pop(key, None)
         draft = self.builder.construct_trace(records)
         self.metrics.episodes += 1
@@ -415,6 +419,7 @@ class WatermarkSegmenter:
                 [event_from_dict(r) for r in entry["records"]]
             for entry in state.get("buffers", ())
         }
+        self._open_events = sum(map(len, self._buffers.values()))
         self._last_end = {str(mo): float(end) for mo, end
                           in (state.get("last_end") or {}).items()}
         self._last_key = {str(mo): (float(key[0]), float(key[1]))

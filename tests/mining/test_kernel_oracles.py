@@ -1,12 +1,14 @@
 """Oracle properties for the fast mining kernels.
 
-The multiplicity-weighted PrefixSpan is held against the classic
-recursive miner over the raw sequences (kept here as the reference),
-and the batched similarity kernel against the per-pair DP of
+The level-wise PrefixSpan kernel is held against the classic
+recursive miner over the raw sequences (kept here as the reference)
+and its candidate recount against :func:`pattern_support`, and the
+batched similarity kernel against the per-pair DP of
 :func:`hierarchy_similarity` / :func:`normalized_edit_similarity`,
 bit for bit.
 """
 
+import math
 import random
 import tracemalloc
 from typing import Dict, List, Sequence, Tuple
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.mining import similarity
 from repro.mining.prefixspan import (
+    SequentialPattern,
     pattern_support,
     pattern_supports,
     prefixspan,
@@ -118,6 +121,132 @@ def test_pattern_supports_edge_patterns():
     assert pattern_supports(
         sequences, [[], list("bab"), list("cab"), list("bab"),
                     list("abcabc")]) == [4, 2, 2, 2, 0]
+
+
+#: Alphabets of multi-character state names; the two larger ones pass
+#: 64 states, so a kernel that kept item sets in bitmasks would fail.
+ALPHABETS = [["zone60886", "zone60861", "floor-2"],
+             ["room-{:03d}".format(i) for i in range(65)],
+             ["wing/{}/zone{}".format(i % 3, i) for i in range(130)]]
+
+
+@st.composite
+def rich_corpora(draw):
+    """Distinct sequences with multiplicities, as the raw list: short
+    ones over the whole alphabet (up to 400 copies each), long ones
+    (21-30 items) over a few states, so repeats are far apart, and
+    often a tour of every state cut into short sequences, so the
+    corpus codes the whole alphabet."""
+    states = draw(st.sampled_from(ALPHABETS))
+    tour = draw(st.permutations(states))
+    step = draw(st.integers(min_value=1, max_value=3))
+    sequences = [list(tour[start:start + step])
+                 for start in range(0, len(tour), step)] \
+        if draw(st.booleans()) else []
+    short = st.tuples(
+        st.lists(st.sampled_from(states), max_size=6),
+        st.sampled_from([1, 2, 3, 40, 400]))
+    long = st.lists(st.sampled_from(states), min_size=2,
+                    max_size=5, unique=True).flatmap(
+        lambda few: st.tuples(
+            st.lists(st.sampled_from(few), min_size=21, max_size=30),
+            st.integers(min_value=1, max_value=3)))
+    distinct = draw(st.lists(st.one_of(short, long), min_size=1,
+                             max_size=6))
+    sequences += [list(sequence) for sequence, copies in distinct
+                  for _ in range(copies)]
+    draw(st.randoms(use_true_random=False)).shuffle(sequences)
+    return sequences
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_prefixspan_matches_reference_on_rich_corpora(data):
+    """Large alphabets, long sequences, heavy multiplicities, and
+    ``max_length`` 1 up to past the longest sequence; every mined
+    support is also the recount's."""
+    sequences = data.draw(rich_corpora())
+    longest = max(map(len, sequences))
+    # Exploring past the longest sequence is only affordable for the
+    # reference when every sequence is short.
+    max_length = data.draw(st.sampled_from(
+        [1, 2, 3] + ([longest + 1] if longest <= 6 else [])))
+    min_support = data.draw(st.integers(min_value=1,
+                                        max_value=len(sequences) + 1))
+    mined = prefixspan(sequences, min_support, max_length)
+    assert [(p.sequence, p.support) for p in mined] \
+        == reference_prefixspan(sequences, min_support, max_length)
+    assert pattern_supports(sequences, [p.sequence for p in mined]) \
+        == [p.support for p in mined]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pattern_supports_on_rich_corpora(data):
+    """Candidates cut from the corpus's own sequences (deep, shared
+    prefixes), with unseen states, the empty pattern and duplicates
+    mixed in."""
+    sequences = data.draw(rich_corpora())
+    pieces = st.lists(st.sampled_from(sequences), min_size=1,
+                      max_size=4).map(
+        lambda picked: [item for sequence in picked
+                        for item in sequence[::2]][:8])
+    unseen = st.lists(st.sampled_from(
+        [item for alphabet in ALPHABETS for item in alphabet]
+        + ["ghost"]), max_size=4)
+    patterns = data.draw(st.lists(st.one_of(pieces, unseen),
+                                  max_size=12))
+    patterns += data.draw(st.lists(
+        st.sampled_from(patterns + [[]]), max_size=6))
+    assert pattern_supports(sequences, patterns) == [
+        pattern_support(sequences, pattern) for pattern in patterns]
+
+
+#: Traced peak allocation of the recursive bucket miner this kernel
+#: replaced, measured with the setup of
+#: :func:`test_whole_corpus_mine_allocates_little` (CPython 3.11,
+#: numpy 2.4, x86-64).
+BUCKET_MINER_PEAK_BYTES = 1_654_000
+
+
+def test_whole_corpus_mine_allocates_little(louvre_space):
+    """A whole-Louvre mine at the service's default shape (support
+    0.02, ``max_length`` 4) allocates at most 10% more than the
+    recursive bucket miner did: a level is held at once, so its
+    arrays must stay small."""
+    from repro.core import TrajectoryBuilder
+    from repro.louvre.dataset import (
+        DatasetParameters,
+        LouvreDatasetGenerator,
+    )
+    from repro.mining.sequences import state_sequences
+
+    generator = LouvreDatasetGenerator(louvre_space, DatasetParameters())
+    trajectories, _ = TrajectoryBuilder(
+        louvre_space.dataset_zone_nrg()).build_all(
+        generator.detection_records())
+    sequences = state_sequences(trajectories)
+    del trajectories
+    assert len(sequences) == 4819
+    prefixspan(sequences[:50], 2, 4)  # warm numpy's first-call paths
+    tracemalloc.start()
+    try:
+        patterns = prefixspan(sequences,
+                              math.ceil(0.02 * len(sequences)), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(patterns) > 100
+    assert peak <= 1.1 * BUCKET_MINER_PEAK_BYTES
+
+
+def test_min_support_above_every_support_mines_nothing():
+    sequences = [["zone60886", "zone60861"]] * 3 + [["floor-2"]]
+    assert prefixspan(sequences, 4, 6) == []
+    assert prefixspan(sequences, 3, 6) == [
+        SequentialPattern(sequence, 3)
+        for sequence in [("zone60861",), ("zone60886",),
+                         ("zone60886", "zone60861")]]
 
 
 def test_prefixspan_keeps_its_errors():

@@ -11,12 +11,14 @@ byte-identical (as a content multiset under canonical JSON) to
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import DetectionRecord
+from repro.service.protocol import canonical_json
 from tests.stream.test_segmenter import (
     GAP,
     content_bytes,
@@ -167,3 +169,48 @@ def test_resume_from_any_cut_matches_batch(corpus, cut_step):
         streamed.extend(resumed.feed(event))
     streamed.extend(resumed.close())
     assert content_bytes(streamed) == content_bytes(batch)
+
+
+def buffered_events(segmenter) -> int:
+    """Events held in open buffers, counted from the checkpoint."""
+    return sum(len(entry["records"])
+               for entry in segmenter.state_dict()["buffers"])
+
+
+operations = st.lists(st.one_of(
+    st.tuples(st.just("feed"), st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("advance"),
+              st.floats(min_value=0.0, max_value=2000.0)),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("round_trip"), st.booleans())), max_size=25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora(), operations)
+def test_open_events_counts_the_open_buffers(corpus, steps):
+    """The running ``open_events`` count equals the records in the
+    open buffers after any interleaving of feeds, watermark advances,
+    flushes and checkpoint round trips (through ``state_dict`` or
+    ``state_json``)."""
+    import json
+
+    from repro.stream.segmenter import WatermarkSegmenter
+
+    per_visitor, seed = corpus
+    builder = make_builder()
+    events = iter(interleave(per_visitor, seed=seed))
+    segmenter = WatermarkSegmenter(builder)
+    for step in steps:
+        if step[0] == "feed":
+            for event in itertools.islice(events, step[1]):
+                segmenter.feed(event)
+        elif step[0] == "advance":
+            segmenter.advance(step[1])
+        elif step[0] == "flush":
+            segmenter.close()
+        else:
+            state = json.loads(segmenter.state_json() if step[1]
+                               else canonical_json(segmenter.state_dict()))
+            segmenter = WatermarkSegmenter(builder)
+            segmenter.load_state(state)
+        assert segmenter.open_events == buffered_events(segmenter)
