@@ -465,19 +465,10 @@ def cmd_restore(args: argparse.Namespace) -> int:
 
 def _write_url_file(path: str, url: str) -> None:
     """Atomically announce a bound server (URL + pid) to watchers."""
-    import tempfile
+    from repro.persist.format import write_atomic
 
-    payload = json.dumps({"url": url, "pid": os.getpid()})
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=os.path.dirname(path) or ".",
-        suffix=".tmp", delete=False)
-    try:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    finally:
-        handle.close()
-    os.replace(handle.name, path)
+    write_atomic(path, json.dumps({"url": url, "pid": os.getpid()})
+                 .encode("utf-8"))
 
 
 def _serve_engine(args: argparse.Namespace):

@@ -227,11 +227,12 @@ class DiskStageCache(StageCache):
         name = self._entry_name(fingerprint, keys)
         path = os.path.join(self.directory, name)
         try:
+            # Imported here: format imports the service layer, whose
+            # stream manager imports format while this package loads.
+            from repro.persist.format import write_atomic
+
             os.makedirs(self.directory, exist_ok=True)
-            temp_path = path + ".tmp"
-            with open(temp_path, "wb") as sink:
-                sink.write(canonical_json(document))
-            os.replace(temp_path, path)
+            write_atomic(path, canonical_json(document), fsync=False)
         except OSError:
             return  # disk persistence is an optimization, never fatal
         self._evict_disk()

@@ -95,16 +95,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_atomic(directory: str, name: str, payload: bytes) -> None:
-    """Write ``payload`` to ``directory/name`` via rename."""
+def write_atomic(path: str, payload: bytes, fsync: bool = True) -> None:
+    """Replace ``path`` with ``payload`` in one step: a temp file in
+    the same directory, fsynced when ``fsync``, renamed over it.  A
+    crash leaves the old file or the new one, never a torn mix.
+
+    Raises:
+        OSError: the write failed (the temp file is removed).
+    """
+    directory, name = os.path.split(path)
     handle, temp_path = tempfile.mkstemp(prefix=name + ".",
-                                         suffix=".tmp", dir=directory)
+                                         suffix=".tmp",
+                                         dir=directory or ".")
     try:
         with os.fdopen(handle, "wb") as sink:
             sink.write(payload)
-            sink.flush()
-            os.fsync(sink.fileno())
-        os.replace(temp_path, os.path.join(directory, name))
+            if fsync:
+                sink.flush()
+                os.fsync(sink.fileno())
+        os.replace(temp_path, path)
     except BaseException:
         try:
             os.unlink(temp_path)
@@ -340,7 +349,7 @@ def save_store(store: TrajectoryStore, path: str,
         total_bytes = 0
         for name, payload in segments.items():
             raw = canonical_json(payload)
-            _write_atomic(path, name, raw)
+            write_atomic(os.path.join(path, name), raw)
             manifest_segments.append({
                 "name": name, "bytes": len(raw),
                 "sha256": _sha256(raw)})
@@ -355,7 +364,8 @@ def save_store(store: TrajectoryStore, path: str,
                                key=lambda item: item["name"]),
         }
         manifest["manifest_sha256"] = _sha256(canonical_json(manifest))
-        _write_atomic(path, MANIFEST_NAME, canonical_json(manifest))
+        write_atomic(os.path.join(path, MANIFEST_NAME),
+                     canonical_json(manifest))
     except OSError as error:
         raise PersistError(
             "cannot write snapshot {}: {}".format(path, error))

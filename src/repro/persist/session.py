@@ -36,6 +36,7 @@ from repro.persist.format import (
     SnapshotInfo,
     load_store,
     save_store,
+    write_atomic,
 )
 from repro.persist.wal import WriteAheadLog
 from repro.storage.store import TrajectoryStore
@@ -220,13 +221,8 @@ class DurableSession:
                           wal_seq=log.last_seq)
         # The commit point: CURRENT names the new snapshot.
         current_path = os.path.join(self.directory, CURRENT_NAME)
-        temp_path = current_path + ".tmp"
         try:
-            with open(temp_path, "w", encoding="utf-8") as sink:
-                sink.write(name + "\n")
-                sink.flush()
-                os.fsync(sink.fileno())
-            os.replace(temp_path, current_path)
+            write_atomic(current_path, (name + "\n").encode("utf-8"))
         except OSError as error:
             raise PersistError("cannot update {}: {}".format(
                 current_path, error))

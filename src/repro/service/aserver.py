@@ -49,7 +49,6 @@ or from the command line: ``repro serve``.
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 import sys
 import threading
@@ -62,6 +61,7 @@ from repro.service.executor import Engine
 from repro.service.registry import SessionRegistry
 from repro.service.wire import (
     ResponseCache,
+    admission,
     execute_json,
     health_payload,
     ready_payload,
@@ -420,46 +420,29 @@ class AsyncServiceServer:
                     self._inflight), retry_after=1))
             return
         self._inflight += 1
-        if b'"deadline_ms"' in body:
-            # Deadline-aware shedding: remember when the request hit
-            # the bridge queue; the worker answers 504 without doing
-            # any work if the budget expired while it waited.
-            future = self._loop.run_in_executor(
-                self._executor, self._execute_deadlined, body,
-                time.monotonic())
-        else:
-            future = self._loop.run_in_executor(
-                self._executor, self._execute, body)
+        future = self._loop.run_in_executor(
+            self._executor, self._execute, body, time.monotonic())
         await self._enqueue(queue, future)
 
-    def _execute(self, body: bytes) -> Tuple[int, bytes]:
+    def _execute(self, body: bytes,
+                 queued_at: float) -> Tuple[int, bytes]:
         """Bridge-thread execution of a body the loop already missed
-        in the cache."""
-        return execute_json(self.registry, body, self.cache)
+        in the cache and queued at ``queued_at``.
 
-    def _execute_deadlined(self, body: bytes,
-                           enqueued_at: float) -> Tuple[int, bytes]:
-        """Bridge-thread wrapper for deadline-carrying requests.
-
-        A request whose ``deadline_ms`` budget was consumed by queue
-        wait is shed with a typed ``deadline_exceeded`` 504 — the
-        caller stopped waiting, so executing it would burn a bridge
-        worker on an answer nobody reads.
+        :func:`execute_json` sheds a request whose ``deadline_ms``
+        budget the queue wait consumed with a typed
+        ``deadline_exceeded`` 504 — the caller stopped waiting, so
+        executing it would burn a bridge worker on an answer nobody
+        reads.
         """
+        admission.queued_at = queued_at
+        admission.shed = False
         try:
-            ms = json.loads(body.decode("utf-8")).get("deadline_ms")
-        except (UnicodeDecodeError, ValueError, AttributeError):
-            ms = None  # let execute_json produce the protocol error
-        if isinstance(ms, int) and not isinstance(ms, bool) \
-                and ms >= 0:
-            waited_ms = (time.monotonic() - enqueued_at) * 1000.0
-            if waited_ms >= ms:
+            return execute_json(self.registry, body, self.cache)
+        finally:
+            if admission.shed:
                 self._deadline_rejected += 1
-                return 504, P.ErrorInfo(
-                    code="deadline_exceeded",
-                    message="deadline_ms={} expired after {:.0f} ms "
-                            "queued".format(ms, waited_ms)).to_json()
-        return self._execute(body)
+            admission.queued_at = None
 
     async def _enqueue(self, queue: "asyncio.Queue", item) -> None:
         self._pending += 1

@@ -720,7 +720,10 @@ SCATTER_READS: Dict[Type[P.Command], Tuple[Callable, Callable]] = {
 
 # ----------------------------------------------------------------------
 # live streams (repro.stream) — imported lazily so the service layer
-# has no stream dependency until a stream command actually arrives
+# has no stream dependency until a stream command actually arrives.
+# Both engines run these handlers over their own stream table
+# (``engine.stream_manager()``): a sharded stream is this stream, with
+# the coordinator's routed ingest as its write path.
 # ----------------------------------------------------------------------
 def unknown_stream(session: str, stream: str) -> CommandError:
     """The ``unknown_stream`` failure (never opened, or closed)."""
@@ -729,36 +732,41 @@ def unknown_stream(session: str, stream: str) -> CommandError:
         "no stream {!r} on session {!r}".format(stream, session))
 
 
-def _stream(registry: SessionRegistry, session: str, stream: str):
+def _stream(engine, session: str, stream: str):
+    from repro.persist.format import PersistError
     from repro.stream.manager import UnknownStreamError
 
     try:
-        return registry.stream_manager().get(session, stream)
+        return engine.stream_manager().get(session, stream)
     except UnknownStreamError:
         raise unknown_stream(session, stream)
+    except PersistError as error:
+        raise CommandError("persistence", str(error))
 
 
-def _open_stream(registry: SessionRegistry,
-                 command: P.OpenStream) -> P.Response:
+def _open_stream(engine, command: P.OpenStream) -> P.Response:
+    from repro.persist.format import PersistError
+
     check_open_stream(command)
-    stream = registry.stream_manager().open(
-        command.session, command.stream,
-        gap_seconds=command.gap_seconds,
-        checkpoint_every=command.checkpoint_every,
-        max_open_events=command.max_open_events,
-        relay=command.relay)
+    try:
+        stream = engine.stream_manager().open(
+            command.session, command.stream,
+            gap_seconds=command.gap_seconds,
+            checkpoint_every=command.checkpoint_every,
+            max_open_events=command.max_open_events)
+    except PersistError as error:
+        raise CommandError("persistence", str(error))
     return P.StreamInfo(session=command.session,
                         stream=command.stream,
                         status=stream.status())
 
 
-def _append_events(registry: SessionRegistry,
-                   command: P.AppendEvents) -> P.Response:
+def _append_events(engine, command: P.AppendEvents) -> P.Response:
     from repro.persist.format import PersistError
     from repro.stream.manager import StreamOverloadedError
     from repro.stream.segmenter import NO_WATERMARK
 
-    stream = _stream(registry, command.session, command.stream)
+    stream = _stream(engine, command.session, command.stream)
     check_watermark(command)
     try:
         result = stream.append(command.events,
@@ -776,26 +784,23 @@ def _append_events(registry: SessionRegistry,
         episodes_closed=result["episodes_closed"],
         watermark=None if watermark == NO_WATERMARK else watermark,
         open_events=stream.segmenter.open_events,
-        seq=result["seq"],
-        episodes=result.get("episodes") or [])
+        seq=result["seq"])
 
 
-def _stream_status(registry: SessionRegistry,
-                   command: P.StreamStatus) -> P.Response:
-    stream = _stream(registry, command.session, command.stream)
+def _stream_status(engine, command: P.StreamStatus) -> P.Response:
+    stream = _stream(engine, command.session, command.stream)
     return P.StreamInfo(session=command.session,
                         stream=command.stream,
                         status=stream.status())
 
 
-def _close_stream(registry: SessionRegistry,
-                  command: P.CloseStream) -> P.Response:
+def _close_stream(engine, command: P.CloseStream) -> P.Response:
     from repro.persist.format import PersistError
     from repro.stream.manager import UnknownStreamError
 
     try:
-        summary = registry.stream_manager().close(command.session,
-                                                  command.stream)
+        summary = engine.stream_manager().close(command.session,
+                                                command.stream)
     except UnknownStreamError:
         raise unknown_stream(command.session, command.stream)
     except PersistError as error:
@@ -804,8 +809,16 @@ def _close_stream(registry: SessionRegistry,
         session=command.session, stream=command.stream,
         episodes_closed=summary["episodes_closed"],
         episodes_total=summary["episodes_total"],
-        events_acked=summary["events_acked"],
-        episodes=summary.get("episodes") or [])
+        events_acked=summary["events_acked"])
+
+
+#: The stream commands, one implementation for both engines.
+STREAM_HANDLERS: Dict[Type[P.Command], Callable] = {
+    P.OpenStream: _open_stream,
+    P.AppendEvents: _append_events,
+    P.StreamStatus: _stream_status,
+    P.CloseStream: _close_stream,
+}
 
 
 def _save_session(registry: SessionRegistry,
@@ -863,10 +876,7 @@ _HANDLERS: Dict[Type[P.Command], Callable] = {
     P.StoreStats: _store_stats,
     P.SaveSession: _save_session,
     P.RestoreSession: _restore_session,
-    P.OpenStream: _open_stream,
-    P.AppendEvents: _append_events,
-    P.StreamStatus: _stream_status,
-    P.CloseStream: _close_stream,
+    **STREAM_HANDLERS,
 }
 
 

@@ -625,9 +625,10 @@ class OpenStream(Command):
     """Open (or re-attach to) a live ingestion stream on a session.
 
     The session is created on first use, exactly like a build.  On a
-    durable registry the stream gets an event journal + checkpoint
-    sidecar under the session's directory, so acked events survive
-    ``kill -9`` (see ``docs/streaming.md``).  Re-opening an existing
+    durable engine the stream gets an event journal + checkpoint
+    sidecar (under the session's directory, or a shard coordinator's
+    root), so acked events survive ``kill -9`` (see
+    ``docs/streaming.md``).  Re-opening an existing
     stream returns its current state unchanged — the shape arguments
     of the first open win — which is what makes the command
     idempotent.
@@ -642,12 +643,6 @@ class OpenStream(Command):
         max_open_events: back-pressure bound — an append that would
             exceed this many buffered (not-yet-closed) events is
             rejected with ``overloaded``.
-        relay: coordinator-internal mode — the stream segments and
-            journals locally but hands closed episodes back in its
-            acks (``EventsAppended.episodes``) instead of storing
-            them, so a shard coordinator can route them by global id.
-            Delivery is at-least-once; the harvester deduplicates by
-            canonical content.
     """
 
     kind = "OpenStream"
@@ -658,7 +653,6 @@ class OpenStream(Command):
     gap_seconds: Optional[float] = None
     checkpoint_every: int = 64
     max_open_events: int = 100_000
-    relay: bool = False
 
 
 @dataclass(frozen=True)
@@ -1095,10 +1089,7 @@ class EventsAppended(Response):
         open_events: events still buffered in open episodes — the
             client-visible back-pressure signal.
         seq: the journal sequence that made the batch durable (0 on
-            a memory-only registry).
-        episodes: relay streams only — every closed episode not yet
-            handed to the harvester, as wire-form trajectory dicts
-            (empty on normal streams, which store episodes locally).
+            a memory-only engine).
     """
 
     kind = "EventsAppended"
@@ -1110,7 +1101,6 @@ class EventsAppended(Response):
     watermark: Optional[float] = None
     open_events: int = 0
     seq: int = 0
-    episodes: List[Dict] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -1121,8 +1111,6 @@ class StreamClosed(Response):
         episodes_closed: episodes the final flush completed.
         episodes_total: episodes the stream stored over its life.
         events_acked: events the stream acknowledged over its life.
-        episodes: relay streams only — the final flush's undelivered
-            episodes for the harvester (see ``EventsAppended``).
     """
 
     kind = "StreamClosed"
@@ -1132,7 +1120,6 @@ class StreamClosed(Response):
     episodes_closed: int = 0
     episodes_total: int = 0
     events_acked: int = 0
-    episodes: List[Dict] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -498,6 +498,8 @@ class SessionRegistry:
             if name not in self._sessions:
                 raise UnknownSessionError(name)
             session = self._sessions.pop(name)
+        if self._streams is not None:
+            self._streams.drop(name)
         # Dropping a durable session removes its on-disk home too —
         # otherwise the next create() (or registry restart) would
         # silently resurrect the corpus and a follow-up build would
@@ -528,6 +530,46 @@ class SessionRegistry:
                 if self._streams is None:
                     self._streams = StreamManager(self)
         return self._streams
+
+    # ------------------------------------------------------------------
+    # the stream host (repro.stream.manager.StreamHost)
+    # ------------------------------------------------------------------
+    def stream_session(self, session: str) -> Session:
+        return self.create(session)
+
+    def stream_directory(self, session: str,
+                         stream: str) -> Optional[str]:
+        """``<persist_dir>/<session>/streams/<stream>``, beside the
+        session's snapshots and WAL; None on a memory-only or standby
+        registry."""
+        if self.persist_dir is None or self.standby:
+            return None
+        from urllib.parse import quote
+
+        from repro.stream.manager import STREAMS_DIR
+
+        return os.path.join(self.persist_dir, quote(session, safe=""),
+                            STREAMS_DIR, quote(stream, safe=""))
+
+    def stream_space(self, session: str):
+        """The session's space, a Louvre model when it has none."""
+        workbench = self.get(session).workbench
+        if workbench.space is None:
+            from repro.louvre.space import LouvreSpace
+
+            workbench.space = LouvreSpace()
+        return workbench.space
+
+    def stream_fsync(self) -> bool:
+        return self._fsync
+
+    def store_episodes(self, session: str, episodes) -> None:
+        held = self.get(session)
+        with held.build_lock:
+            held.workbench.store.extend(episodes)
+
+    def stored_documents(self, session: str):
+        return self.get(session).workbench.store
 
     # ------------------------------------------------------------------
     # the Engine surface (repro.service.executor.Engine)

@@ -31,6 +31,7 @@ serialize into a dictionary lookup.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -165,6 +166,22 @@ class ResponseCache:
                     "misses": self.misses}
 
 
+class Admission(threading.local):
+    """A bridge thread's record of the request it is executing:
+    ``queued_at``, when the HTTP front-end queued it for the bridge
+    (``time.monotonic()``), and ``shed``, set when
+    :func:`execute_json` answered it without executing.  Off the
+    bridge ``queued_at`` stays None: no queue wait, nothing to shed.
+    """
+
+    queued_at: Optional[float] = None
+    shed: bool = False
+
+
+#: The calling thread's :class:`Admission` (the front-end fills it).
+admission = Admission()
+
+
 def execute_json(engine: Engine, raw: bytes,
                  cache: Optional[ResponseCache] = None
                  ) -> Tuple[int, bytes]:
@@ -177,12 +194,26 @@ def execute_json(engine: Engine, raw: bytes,
     has already missed it in ``cache`` (when it has one), and a
     successful read response is inserted there under the
     versioned-stamp rules above; error responses are never cached.
+
+    A command whose ``deadline_ms`` the bridge queue wait already
+    spent (:data:`admission`) is shed: a ``deadline_exceeded`` 504,
+    decided from the one decode of the body.
     """
     try:
         command = P.command_from_json(raw)
     except P.ProtocolError as error:
         return 400, P.ErrorInfo(code="protocol",
                                 message=str(error)).to_json()
+    queued_at = admission.queued_at
+    if queued_at is not None and command.deadline_ms is not None:
+        waited_ms = (time.monotonic() - queued_at) * 1000.0
+        if waited_ms >= command.deadline_ms:
+            admission.shed = True
+            return STATUS_OF_CODE["deadline_exceeded"], P.ErrorInfo(
+                code="deadline_exceeded",
+                message="deadline_ms={} expired after {:.0f} ms "
+                        "queued".format(command.deadline_ms,
+                                        waited_ms)).to_json()
     stamp = None
     if cache is not None and command.kind in CACHEABLE_KINDS:
         # Captured *before* executing: a write racing the execution

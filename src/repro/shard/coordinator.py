@@ -34,7 +34,12 @@ differs:
   ``SimilarityBlock`` row ranges and stitched;
 * ``BuildDataset`` — the pipeline runs once on the coordinator with a
   fan-out sink that routes each built batch to its shards as
-  ``IngestDocuments``.
+  ``IngestDocuments``;
+* ``OpenStream`` / ``AppendEvents`` / ``StreamStatus`` /
+  ``CloseStream`` — the executor's own handlers over the
+  coordinator's :class:`~repro.stream.manager.StreamManager`: the
+  stream segments and journals here, and the episodes it closes take
+  the same routed ``IngestDocuments`` fan-out.
 
 Nothing about placement is persisted beyond the shard count: shard
 ``k`` ingests its documents in global order, so local↔global id
@@ -57,11 +62,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import os
+import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from urllib.parse import quote
 
 from repro.mining.prefixspan import SequentialPattern
 from repro.pipeline.engine import Stage
@@ -71,13 +79,12 @@ from repro.service import protocol as P
 from repro.service.executor import (
     MAX_PAGE_SIZE,
     SCATTER_READS,
+    STREAM_HANDLERS,
     CommandError,
     PageSpec,
     assemble_page,
     check_numbers,
-    check_open_stream,
     check_row_block,
-    check_watermark,
     decode_page_cursor,
     dispatch,
     job_info,
@@ -86,7 +93,6 @@ from repro.service.executor import (
     route_page,
     support_threshold,
     unknown_session,
-    unknown_stream,
 )
 from repro.service.registry import (
     BuildJob,
@@ -101,6 +107,7 @@ from repro.shard.ring import (
     ShardTopology,
 )
 from repro.storage.results import ORDER_KEYS
+from repro.stream.manager import STREAMS_DIR, StreamManager
 
 #: Process-wide session serials for response-cache stamps (the
 #: :attr:`TrajectoryStore.serial <repro.storage.store.TrajectoryStore
@@ -183,45 +190,6 @@ class _StatsProxy:
         return self._time_span
 
 
-class _CoordStream:
-    """Coordinator-side bookkeeping of one relayed stream.
-
-    The shards own segmentation and durability (each runs a relay
-    stream: segment + journal locally, hand closed episodes back in
-    acks); the coordinator owns routing — harvested episodes enter
-    the corpus through the global-id ingest fan-out.  Relay delivery
-    is at-least-once, so ``seen`` deduplicates episodes by canonical
-    content before they are ingested.
-    """
-
-    def __init__(self, session_name: str, stream: str,
-                 shard_count: int, max_open_events: int) -> None:
-        self.session_name = session_name
-        self.stream = stream
-        #: Per-shard back-pressure bound (the OpenStream shape).
-        self.max_open_events = max_open_events
-        self.lock = threading.Lock()
-        #: Canonical bytes of every episode already in the corpus.
-        self.seen: set = set()
-        #: Last-known buffered events per shard (pre-checked before a
-        #: scatter so no shard partially acks an overloaded append).
-        self.shard_open: List[int] = [0] * shard_count
-        #: Last-known per-shard watermarks; the stream's watermark is
-        #: their minimum (None until every shard has one).
-        self.shard_marks: List[Optional[float]] = [None] * shard_count
-        #: Cached gauges for the health report (refreshed on appends
-        #: and status polls — no shard round-trip from health).
-        self.counters: Dict[str, int] = {
-            "events_acked": 0, "episodes_stored": 0,
-            "late_events": 0, "dropped_late": 0}
-
-    @property
-    def watermark(self) -> Optional[float]:
-        if any(mark is None for mark in self.shard_marks):
-            return None
-        return min(self.shard_marks)
-
-
 class ShardCoordinator:
     """Scatter-gather engine over N shard executors.
 
@@ -245,6 +213,9 @@ class ShardCoordinator:
         breaker_factory: per-replica circuit-breaker constructor
             (:class:`~repro.resilience.breaker.CircuitBreaker` by
             default) — injectable for tests and tuning.
+        stream_dir: the shard set's root, where the coordinator's
+            streams keep their sidecars (``<stream_dir>/streams/
+            <session>/<stream>/``); None keeps streams memory-only.
 
     Raises:
         ShardStateError: when sessions found on the shards do not
@@ -256,7 +227,8 @@ class ShardCoordinator:
                  replicas: int = DEFAULT_REPLICAS,
                  autosave: bool = False,
                  retry: Optional[RetryPolicy] = None,
-                 breaker_factory: Optional[Callable] = None) -> None:
+                 breaker_factory: Optional[Callable] = None,
+                 stream_dir: Optional[str] = None) -> None:
         if not backends:
             raise ValueError("need at least one shard backend")
         groups = [list(group) if isinstance(group, (list, tuple))
@@ -280,8 +252,16 @@ class ShardCoordinator:
             else self.ring.shard_of
         self.autosave = autosave
         self._sessions: Dict[str, _CoordSession] = {}
-        self._streams: Dict[Tuple[str, str], _CoordStream] = {}
         self._lock = threading.Lock()
+        self.stream_dir = stream_dir
+        #: Whether stream sidecar writes fsync: the shard set's own
+        #: setting, copied by :meth:`local` and
+        #: :meth:`ShardWorkerPool.coordinator
+        #: <repro.shard.workers.ShardWorkerPool.coordinator>`.
+        self.fsync = True
+        #: The live streams: segmented here, stored through the
+        #: routed ingest (this coordinator is their host).
+        self._streams = StreamManager(self)
         self._jobs = JobTable()
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, self.shard_count),
@@ -352,7 +332,9 @@ class ShardCoordinator:
         coordinator = cls(backends, router=router, replicas=replicas,
                           autosave=persist_dir is not None,
                           retry=retry,
-                          breaker_factory=breaker_factory)
+                          breaker_factory=breaker_factory,
+                          stream_dir=persist_dir)
+        coordinator.fsync = fsync
         for shard, registry in enumerate(registries):
             for name, message in registry.restore_errors.items():
                 coordinator.restore_errors[
@@ -585,26 +567,8 @@ class ShardCoordinator:
         return report
 
     def stream_report(self) -> Dict:
-        """Aggregate stream gauges for ``GET /v1/health`` from the
-        coordinator's cached state (no shard round-trip; the late
-        counters are as of the last append or status poll)."""
-        with self._lock:
-            states = list(self._streams.values())
-        live = [state.watermark for state in states
-                if state.watermark is not None]
-        return {
-            "open": len(states),
-            "events_acked": sum(s.counters["events_acked"]
-                                for s in states),
-            "open_events": sum(sum(s.shard_open) for s in states),
-            "episodes_stored": sum(s.counters["episodes_stored"]
-                                   for s in states),
-            "late_events": sum(s.counters["late_events"]
-                               for s in states),
-            "dropped_late": sum(s.counters["dropped_late"]
-                                for s in states),
-            "watermark_min": min(live) if live else None,
-        }
+        """Aggregate stream gauges for ``GET /v1/health``."""
+        return self._streams.report()
 
     def job(self, job_id: str) -> BuildJob:
         """Lookup a build job by id (``JobStatus``).
@@ -626,6 +590,54 @@ class ShardCoordinator:
         self._guard.shutdown(wait=False)
         for target in self.targets:
             target.close()
+
+    # ------------------------------------------------------------------
+    # the stream host (repro.stream.manager.StreamHost): the executor's
+    # stream commands run here, and closed episodes take the routed
+    # ingest below — no shard ever sees a stream command
+    # ------------------------------------------------------------------
+    def stream_manager(self) -> StreamManager:
+        """The coordinator's stream table."""
+        return self._streams
+
+    def stream_session(self, session: str) -> _CoordSession:
+        return self._create_session(session)
+
+    def _session_streams(self, session: str) -> str:
+        """``<stream_dir>/streams/<session>``: beside the ``shard-K/``
+        homes and ``shard.json``, never inside them."""
+        return os.path.join(self.stream_dir, STREAMS_DIR,
+                            quote(session, safe=""))
+
+    def stream_directory(self, session: str,
+                         stream: str) -> Optional[str]:
+        if self.stream_dir is None:
+            return None
+        return os.path.join(self._session_streams(session),
+                            quote(stream, safe=""))
+
+    def stream_space(self, session: str):
+        """The session's space, a Louvre model when it has none (the
+        name then rides the session's next ingest to the shards)."""
+        from repro.persist.session import revive_space
+
+        held = self._held(session)
+        if held.space_name is None:
+            held.space_name = "LouvreSpace"
+        return revive_space(held.space_name)
+
+    def stream_fsync(self) -> bool:
+        return self.fsync
+
+    def store_episodes(self, session: str, episodes) -> None:
+        held = self._held(session)
+        with held.ingest_lock:
+            self._ingest_locked(held, [episode.to_dict()
+                                       for episode in episodes])
+
+    def stored_documents(self, session: str):
+        merged, _ = self._merged_hits(self._held(session), None)
+        return (hit.trajectory for hit in merged)
 
     # ------------------------------------------------------------------
     # ingestion (global-id assignment + routed fan-out)
@@ -754,9 +766,10 @@ class ShardCoordinator:
                     raise
         with self._lock:
             self._sessions.pop(command.session, None)
-            for key in [key for key in self._streams
-                        if key[0] == command.session]:
-                del self._streams[key]
+        self._streams.drop(command.session)
+        if self.stream_dir is not None:
+            shutil.rmtree(self._session_streams(command.session),
+                          ignore_errors=True)
         return P.Dropped(session=command.session)
 
     def _save_session(self, command: P.SaveSession) -> P.Response:
@@ -1125,221 +1138,6 @@ class ShardCoordinator:
         return P.SequenceList(sequences=sequences,
                               degraded=self._degraded(missing))
 
-    # ------------------------------------------------------------------
-    # streams: relayed shard segmentation, routed episode harvest
-    # ------------------------------------------------------------------
-    def _stream_state(self, session_name: str, stream: str,
-                      statuses: Optional[List[Dict]] = None
-                      ) -> _CoordStream:
-        """The coordinator's state for one stream, rebuilt lazily
-        after a coordinator restart by polling the shards (they own
-        the durable state).  The dedup set is seeded with the whole
-        corpus so redelivered episodes are never double-ingested."""
-        key = (session_name, stream)
-        with self._lock:
-            held = self._streams.get(key)
-        if held is not None:
-            return held
-        try:
-            session = self._held(session_name)
-        except CommandError:
-            raise unknown_stream(session_name, stream)
-        if statuses is None:
-            replies = self._scatter_same(P.StreamStatus(
-                session=session_name, stream=stream))
-            statuses = [reply.status for reply in replies]
-        state = _CoordStream(
-            session_name, stream, self.shard_count,
-            int(statuses[0].get("max_open_events") or 1))
-        merged, _ = self._merged_hits(session, None)
-        state.seen = {P.canonical_json(hit.trajectory.to_dict())
-                      for hit in merged}
-        self._apply_statuses(state, statuses)
-        with self._lock:
-            return self._streams.setdefault(key, state)
-
-    @staticmethod
-    def _apply_statuses(state: _CoordStream,
-                        statuses: List[Dict]) -> None:
-        for shard, status in enumerate(statuses):
-            state.shard_open[shard] = int(
-                status.get("open_events") or 0)
-            state.shard_marks[shard] = status.get("watermark")
-        for key in ("events_acked", "episodes_stored",
-                    "late_events", "dropped_late"):
-            state.counters[key] = sum(int(status.get(key) or 0)
-                                      for status in statuses)
-
-    def _merged_stream_status(self, state: _CoordStream,
-                              statuses: List[Dict]) -> Dict:
-        """Sum the per-shard snapshots into the logical stream's."""
-        merged: Dict = {"session": state.session_name,
-                        "stream": state.stream}
-        for key in ("open_buffers", "open_events", "events_in",
-                    "accepted", "late_events", "dropped_late",
-                    "episodes", "events_acked", "episodes_stored",
-                    "checkpoints", "pending"):
-            merged[key] = sum(int(status.get(key) or 0)
-                              for status in statuses)
-        drops: Dict[str, int] = {}
-        for status in statuses:
-            for reason, count in (status.get("drops") or {}).items():
-                drops[reason] = drops.get(reason, 0) + int(count)
-        merged["drops"] = drops
-        marks = [status.get("watermark") for status in statuses]
-        merged["watermark"] = (None if any(mark is None
-                                           for mark in marks)
-                               else min(marks))
-        merged["shard_watermarks"] = marks
-        merged["durable"] = all(bool(status.get("durable"))
-                                for status in statuses)
-        merged["max_open_events"] = state.max_open_events
-        merged["relay"] = True
-        return merged
-
-    def _harvest(self, session: _CoordSession, state: _CoordStream,
-                 episode_lists: List[List[Dict]]) -> int:
-        """Ingest relayed episodes through the routed fan-out
-        (caller holds the stream's lock).  Relay delivery is
-        at-least-once, so duplicates are dropped by content."""
-        docs: List[Dict] = []
-        for episodes in episode_lists:
-            for doc in episodes:
-                raw = P.canonical_json(doc)
-                if raw in state.seen:
-                    continue
-                state.seen.add(raw)
-                docs.append(doc)
-        if docs:
-            with session.ingest_lock:
-                self._ingest_locked(session, docs)
-        return len(docs)
-
-    def _harvest_poll(self, session: _CoordSession,
-                      state: _CoordStream,
-                      shards: List[int]) -> None:
-        """Drain pending episodes a shard recovered after a crash
-        (an empty append is a pure poll — nothing is journaled)."""
-        replies = self._scatter([
-            P.AppendEvents(session=state.session_name,
-                           stream=state.stream)
-            if shard in shards else None
-            for shard in range(self.shard_count)])
-        self._harvest(session, state,
-                      [reply.episodes for reply in replies
-                       if reply is not None])
-
-    def _open_stream(self, command: P.OpenStream) -> P.Response:
-        check_open_stream(command)
-        session = self._create_session(command.session)
-        replies = self._scatter_same(replace(command, relay=True))
-        statuses = [reply.status for reply in replies]
-        state = self._stream_state(command.session, command.stream,
-                                   statuses=statuses)
-        with state.lock:
-            pending = [shard for shard, status in enumerate(statuses)
-                       if int(status.get("pending") or 0)]
-            if pending:
-                self._harvest_poll(session, state, pending)
-                statuses = [reply.status for reply in
-                            self._scatter_same(P.StreamStatus(
-                                session=command.session,
-                                stream=command.stream))]
-            self._apply_statuses(state, statuses)
-            merged = self._merged_stream_status(state, statuses)
-        return P.StreamInfo(session=command.session,
-                            stream=command.stream, status=merged)
-
-    def _append_events(self, command: P.AppendEvents) -> P.Response:
-        from repro.stream.segmenter import event_from_dict
-
-        state = self._stream_state(command.session, command.stream)
-        session = self._held(command.session)
-        check_watermark(command)
-        try:  # validate up front so no shard partially acks
-            for event in command.events:
-                event_from_dict(event)
-        except (KeyError, TypeError, ValueError) as error:
-            raise CommandError("bad_request",
-                               "unparseable event: {}".format(error))
-        with state.lock:
-            buckets: List[List[Dict]] = [
-                [] for _ in range(self.shard_count)]
-            for event in command.events:
-                shard = self.ring.shard_of_key(str(event["mo_id"]))
-                buckets[shard].append(dict(event))
-            for shard, bucket in enumerate(buckets):
-                if state.shard_open[shard] + len(bucket) \
-                        > state.max_open_events:
-                    raise CommandError(
-                        "overloaded",
-                        "shard {} would hold {} open events (cap "
-                        "{}); retry after the watermark "
-                        "advances".format(
-                            shard,
-                            state.shard_open[shard] + len(bucket),
-                            state.max_open_events))
-            # Every shard gets the watermark (even with an empty
-            # bucket) so the stream watermark — their minimum —
-            # advances; a shard with neither is skipped.
-            replies = self._scatter([
-                P.AppendEvents(session=command.session,
-                               stream=command.stream, events=bucket,
-                               watermark=command.watermark)
-                if bucket or command.watermark is not None else None
-                for bucket in buckets])
-            self._harvest(session, state,
-                          [reply.episodes for reply in replies
-                           if reply is not None])
-            episodes_closed = sum(reply.episodes_closed
-                                  for reply in replies
-                                  if reply is not None)
-            for shard, reply in enumerate(replies):
-                if reply is None:
-                    continue
-                state.shard_open[shard] = reply.open_events
-                state.shard_marks[shard] = reply.watermark
-            state.counters["events_acked"] += len(command.events)
-            state.counters["episodes_stored"] += episodes_closed
-            return P.EventsAppended(
-                session=command.session, stream=command.stream,
-                appended=len(command.events),
-                episodes_closed=episodes_closed,
-                watermark=state.watermark,
-                open_events=sum(state.shard_open),
-                seq=max([reply.seq for reply in replies
-                         if reply is not None] or [0]))
-
-    def _stream_status(self, command: P.StreamStatus) -> P.Response:
-        state = self._stream_state(command.session, command.stream)
-        replies = self._scatter_same(P.StreamStatus(
-            session=command.session, stream=command.stream))
-        statuses = [reply.status for reply in replies]
-        with state.lock:
-            self._apply_statuses(state, statuses)
-            merged = self._merged_stream_status(state, statuses)
-        return P.StreamInfo(session=command.session,
-                            stream=command.stream, status=merged)
-
-    def _close_stream(self, command: P.CloseStream) -> P.Response:
-        state = self._stream_state(command.session, command.stream)
-        session = self._held(command.session)
-        with state.lock:
-            replies = self._scatter_same(P.CloseStream(
-                session=command.session, stream=command.stream))
-            self._harvest(session, state,
-                          [reply.episodes for reply in replies])
-        with self._lock:
-            self._streams.pop((command.session, command.stream),
-                              None)
-        return P.StreamClosed(
-            session=command.session, stream=command.stream,
-            episodes_closed=sum(reply.episodes_closed
-                                for reply in replies),
-            episodes_total=sum(reply.episodes_total
-                               for reply in replies),
-            events_acked=sum(reply.events_acked
-                             for reply in replies))
 
 class _FanoutSinkStage(Stage):
     """Pipeline sink routing built trajectories to the shards.
@@ -1378,8 +1176,5 @@ _HANDLERS: Dict[type, Callable] = {
     P.SimilarityBlock: ShardCoordinator._similarity_block,
     P.SaveSession: ShardCoordinator._save_session,
     P.RestoreSession: ShardCoordinator._restore_session,
-    P.OpenStream: ShardCoordinator._open_stream,
-    P.AppendEvents: ShardCoordinator._append_events,
-    P.StreamStatus: ShardCoordinator._stream_status,
-    P.CloseStream: ShardCoordinator._close_stream,
+    **STREAM_HANDLERS,
 }

@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import tempfile
 from typing import Dict, List, Optional, Tuple
 
+from repro.persist.format import write_atomic
 from repro.shard.ring import (
     DEFAULT_REPLICAS,
     HashRing,
@@ -60,15 +60,8 @@ def write_manifest(root: str, shard_count: int,
     """Atomically record the root's shard layout."""
     os.makedirs(root, exist_ok=True)
     payload = {"shard_count": shard_count, "replicas": replicas}
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=root, suffix=".tmp", delete=False)
-    try:
-        json.dump(payload, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    finally:
-        handle.close()
-    os.replace(handle.name, os.path.join(root, MANIFEST))
+    write_atomic(os.path.join(root, MANIFEST),
+                 json.dumps(payload).encode("utf-8"))
 
 
 def check_manifest(root: str, shard_count: int,

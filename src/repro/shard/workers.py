@@ -194,6 +194,7 @@ class ShardWorkerPool:
             raise ValueError("replicas must be >= 1")
         self.shard_count = shard_count
         self.replicas = replicas
+        self.fsync = fsync
         self._own_root = root is None
         self.root = root if root is not None \
             else tempfile.mkdtemp(prefix="repro-shards-")
@@ -233,11 +234,15 @@ class ShardWorkerPool:
                 for group in self.replica_sets]
 
     def coordinator(self, **kwargs):
-        """A :class:`ShardCoordinator` over this pool's workers."""
+        """A :class:`ShardCoordinator` over this pool's workers; its
+        streams keep their sidecars under the pool's root."""
         from repro.shard.coordinator import ShardCoordinator
 
         kwargs.setdefault("autosave", True)
-        return ShardCoordinator(self.backends(), **kwargs)
+        kwargs.setdefault("stream_dir", self.root)
+        coordinator = ShardCoordinator(self.backends(), **kwargs)
+        coordinator.fsync = self.fsync
+        return coordinator
 
     def supervisor(self, coordinator=None, **kwargs):
         """A :class:`~repro.resilience.supervisor.WorkerSupervisor`

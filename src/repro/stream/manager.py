@@ -1,22 +1,28 @@
 """Durable server-side streams: journal, auto-checkpoint, recovery.
 
-A :class:`StreamManager` owns the live streams of one
-:class:`~repro.service.registry.SessionRegistry` — the state behind
-the ``OpenStream`` / ``AppendEvents`` / ``StreamStatus`` /
-``CloseStream`` protocol family.  Each stream pairs a
-:class:`~repro.stream.segmenter.WatermarkSegmenter` with a sidecar
-**event journal** under the session's durable directory::
+A :class:`StreamManager` owns the live streams of one engine — the
+state behind the ``OpenStream`` / ``AppendEvents`` / ``StreamStatus``
+/ ``CloseStream`` protocol family.  The engine is its
+:class:`StreamHost`: a :class:`~repro.service.registry
+.SessionRegistry` (one store) or a :class:`~repro.shard.coordinator
+.ShardCoordinator` (the routed corpus of N shards), so a sharded
+stream is the unsharded stream with another write path.  Each stream
+pairs a :class:`~repro.stream.segmenter.WatermarkSegmenter` with a
+sidecar **event journal** in the directory its host names::
 
-    <session dir>/streams/<stream>/
+    <session dir>/streams/<stream>/             (a registry)
+    <coordinator root>/streams/<session>/<stream>/  (a coordinator)
       events.log          appended event batches (WAL records)
       stream-state.json   segmenter snapshot + journal watermark
 
 **Durability contract.**  ``AppendEvents`` acks only after the batch
 is fsynced to the journal; episodes the batch closes are stored
-through the session's normal write path, so they ride the session WAL
-(the "piggy-back").  Every ``checkpoint_every`` closed episodes the
-stream folds its journal: the segmenter snapshot is written atomically
-with the journal's sequence watermark, then the journal truncates.
+through the host's normal write path, so they ride the session WAL —
+on a coordinator, the routed ``IngestDocuments`` fan-out to every
+replica (the "piggy-back").  Every ``checkpoint_every`` closed
+episodes the stream folds its journal: the segmenter snapshot is
+written atomically with the journal's sequence watermark, then the
+journal truncates.
 After ``kill -9``, recovery is *snapshot + journal-tail replay* —
 events still buffered in open episodes come back from the journal,
 episodes already stored come back from the session WAL, and replayed
@@ -37,11 +43,20 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from repro.core.builder import TrajectoryBuilder
 from repro.core.trajectory import SemanticTrajectory
-from repro.persist.format import PersistError
+from repro.persist.format import PersistError, write_atomic
 from repro.persist.wal import RecordLog
 from repro.service.protocol import canonical_json, splice_json
 from repro.stream.segmenter import (
@@ -65,6 +80,35 @@ class UnknownStreamError(KeyError):
 
 class StreamOverloadedError(RuntimeError):
     """An append was rejected to bound open-episode memory."""
+
+
+class StreamHost(Protocol):
+    """What a :class:`StreamManager` needs of the engine it serves.
+
+    :class:`~repro.service.registry.SessionRegistry` and
+    :class:`~repro.shard.coordinator.ShardCoordinator` implement it.
+    """
+
+    def stream_session(self, session: str) -> object:
+        """Create the named session on first use, or look it up."""
+
+    def stream_directory(self, session: str,
+                         stream: str) -> Optional[str]:
+        """The stream's sidecar directory (None: memory-only)."""
+
+    def stream_space(self, session: str) -> object:
+        """The space model whose zone NRG the stream segments over."""
+
+    def stream_fsync(self) -> bool:
+        """Whether sidecar writes fsync."""
+
+    def store_episodes(self, session: str,
+                       episodes: List[SemanticTrajectory]) -> None:
+        """Store closed episodes through the session's write path."""
+
+    def stored_documents(self, session: str
+                         ) -> Iterable[SemanticTrajectory]:
+        """Every document the session holds, in doc-id order."""
 
 
 class EventJournal(RecordLog):
@@ -103,17 +147,17 @@ class ServerStream:
     """One live stream bound to a session (internal to the manager).
 
     All mutation happens under :attr:`lock`; the lock order is stream
-    lock → session ``build_lock`` (never the reverse).
+    lock → the host's session write lock (never the reverse).
     """
 
-    def __init__(self, registry, session_name: str, name: str,
-                 segmenter: WatermarkSegmenter,
+    def __init__(self, host: Optional[StreamHost], session_name: str,
+                 name: str, segmenter: WatermarkSegmenter,
                  directory: Optional[str],
                  fsync: bool = True,
                  checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-                 max_open_events: int = DEFAULT_MAX_OPEN_EVENTS,
-                 relay: bool = False) -> None:
-        self.registry = registry
+                 max_open_events: int = DEFAULT_MAX_OPEN_EVENTS
+                 ) -> None:
+        self.host = host
         self.session_name = session_name
         self.name = name
         self.segmenter = segmenter
@@ -121,13 +165,6 @@ class ServerStream:
         self.fsync = fsync
         self.checkpoint_every = max(1, int(checkpoint_every))
         self.max_open_events = max(1, int(max_open_events))
-        #: Relay mode (coordinator shards): closed episodes queue in
-        #: :attr:`pending` and leave through append/close acks instead
-        #: of entering the local session store — the harvester routes
-        #: them by global id.  ``pending`` rides the checkpoint state,
-        #: so a fold never strands an undelivered episode.
-        self.relay = bool(relay)
-        self.pending: List[SemanticTrajectory] = []
         self.lock = threading.Lock()
         self.journal: Optional[EventJournal] = None
         if directory is not None:
@@ -136,7 +173,7 @@ class ServerStream:
         #: events durably acknowledged (journaled, or — memory-only
         #: streams — accepted into the segmenter).
         self.events_acked = 0
-        #: episodes handed to the session store (WAL-journaled).
+        #: episodes handed to the host's store (WAL-journaled).
         self.episodes_stored = 0
         self.checkpoints = 0
         self._episodes_at_checkpoint = 0
@@ -180,37 +217,17 @@ class ServerStream:
                          - self._episodes_at_checkpoint
                          >= self.checkpoint_every):
                 self._checkpoint()
-            result = {"appended": len(records),
-                      "episodes_closed": len(closed),
-                      "seq": (self.journal.last_seq
-                              if self.journal is not None else 0)}
-            if self.relay:
-                result["episodes"] = self._drain_pending()
-            return result
+            return {"appended": len(records),
+                    "episodes_closed": len(closed),
+                    "seq": (self.journal.last_seq
+                            if self.journal is not None else 0)}
 
     def _store(self, episodes) -> None:
-        """Closed episodes enter through the session's write path —
-        the store WAL-journals them before indexing (caller holds the
-        stream lock).  Relay streams queue them for the harvester
-        instead; durability then comes from the event journal plus
-        the pending list riding every checkpoint state."""
-        if self.relay:
-            self.pending.extend(episodes)
-        else:
-            session = self.registry.get(self.session_name)
-            with session.build_lock:
-                session.workbench.store.extend(episodes)
+        """Closed episodes enter through the host's write path — the
+        session WAL journals them before indexing (caller holds the
+        stream lock)."""
+        self.host.store_episodes(self.session_name, episodes)
         self.episodes_stored += len(episodes)
-
-    def _drain_pending(self) -> List[Dict]:
-        """Hand every undelivered episode to the caller (relay mode;
-        caller holds the stream lock).  At-least-once: a crash after
-        the drain but before the harvester ingests regenerates these
-        from the journal (or the checkpointed pending list), so the
-        harvester must deduplicate by canonical content."""
-        drained = [episode.to_dict() for episode in self.pending]
-        self.pending = []
-        return drained
 
     # -- checkpoint / recovery ------------------------------------------
     def state_payload(self) -> Dict[str, object]:
@@ -220,7 +237,7 @@ class ServerStream:
 
     def _state_fields(self) -> Dict[str, object]:
         """Every :meth:`state_payload` field except ``segmenter``."""
-        payload = {
+        return {
             "format": 1,
             "session": self.session_name,
             "stream": self.name,
@@ -232,11 +249,6 @@ class ServerStream:
             "journal_seq": (self.journal.last_seq
                             if self.journal is not None else 0),
         }
-        if self.relay:
-            payload["relay"] = True
-            payload["pending"] = [episode.to_dict()
-                                  for episode in self.pending]
-        return payload
 
     def write_state(self) -> None:
         """Atomically persist :meth:`state_payload` (tmp + rename).
@@ -247,19 +259,13 @@ class ServerStream:
         so a fold costs what is open, not what has streamed."""
         if self.directory is None:
             return
-        os.makedirs(self.directory, exist_ok=True)
         path = os.path.join(self.directory, STATE_NAME)
-        temp = path + ".tmp"
         try:
-            with open(temp, "wb") as sink:
-                sink.write(splice_json(self._state_fields(),
-                                       "segmenter",
-                                       self.segmenter.state_json()))
-                sink.write(b"\n")
-                sink.flush()
-                if self.fsync:
-                    os.fsync(sink.fileno())
-            os.replace(temp, path)
+            os.makedirs(self.directory, exist_ok=True)
+            write_atomic(path, splice_json(
+                self._state_fields(), "segmenter",
+                self.segmenter.state_json()) + b"\n",
+                fsync=self.fsync)
         except OSError as error:
             raise PersistError("cannot write stream state {}: {}"
                                .format(path, error))
@@ -290,6 +296,14 @@ class ServerStream:
         holds a byte-identical document* — replay is deterministic,
         so an episode stored (via the session WAL) before the crash
         regenerates byte-for-byte and is skipped, never duplicated.
+        The stored corpus is walked only when the replay closes an
+        episode.
+
+        Raises:
+            PersistError: the state was checkpointed by a shard's
+                relay stream, whose episodes belong to a coordinator
+                (recovering it here would store them in one shard's
+                local store, outside the routed layout).
         """
         if self.directory is None:
             return
@@ -301,6 +315,14 @@ class ServerStream:
         except (OSError, ValueError):
             state = None  # no (or torn) checkpoint: journal has all
         if state is not None:
+            if state.get("relay"):
+                raise PersistError(
+                    "stream {!r} of session {!r} was written by a "
+                    "shard relay stream; its episodes belong to the "
+                    "coordinator that opened it, so this shard "
+                    "refuses to recover it (sidecar: {})".format(
+                        self.name, self.session_name,
+                        self.directory))
             self.checkpoint_every = max(1, int(
                 state.get("checkpoint_every", self.checkpoint_every)))
             self.max_open_events = max(1, int(
@@ -310,29 +332,10 @@ class ServerStream:
             self.checkpoints = int(state.get("checkpoints", 0))
             journal_seq = int(state.get("journal_seq", 0))
             self.segmenter.load_state(state.get("segmenter") or {})
-            self.relay = bool(state.get("relay", self.relay))
-            self.pending = [SemanticTrajectory.from_dict(item)
-                            for item in state.get("pending") or []]
         self._episodes_at_checkpoint = self.segmenter.metrics.episodes
         if self.journal is None:
             return
-        if self.relay:
-            # Relay replay: regenerated episodes queue for the
-            # harvester again — at-least-once, deduplicated there.
-            for _, events, watermark in self.journal.records(
-                    after_seq=journal_seq):
-                closed = []
-                for event in events:
-                    closed.extend(self.segmenter.feed(
-                        event_from_dict(event)))
-                if watermark is not None:
-                    closed.extend(self.segmenter.advance(watermark))
-                self.events_acked += len(events)
-                if closed:
-                    self._store(closed)
-            return
         stored_bytes = None
-        session = self.registry.get(self.session_name)
         for _, events, watermark in self.journal.records(
                 after_seq=journal_seq):
             closed = []
@@ -346,7 +349,8 @@ class ServerStream:
                 continue
             if stored_bytes is None:
                 stored_bytes = {canonical_json(t.to_dict())
-                                for t in session.workbench.store}
+                                for t in self.host.stored_documents(
+                                    self.session_name)}
             fresh = [t for t in closed
                      if canonical_json(t.to_dict())
                      not in stored_bytes]
@@ -378,8 +382,6 @@ class ServerStream:
                 "checkpoints": self.checkpoints,
                 "durable": self.journal is not None,
                 "max_open_events": self.max_open_events,
-                "relay": self.relay,
-                "pending": len(self.pending),
             }
 
     def close(self) -> Dict[str, object]:
@@ -391,12 +393,10 @@ class ServerStream:
             summary = {"episodes_closed": len(closed),
                        "episodes_total": self.episodes_stored,
                        "events_acked": self.events_acked}
-            if self.relay:
-                summary["episodes"] = self._drain_pending()
             if self.journal is not None:
                 self.journal.close()
             if self.directory is not None:
-                # A closed stream's episodes live in the session
+                # A closed stream's episodes live in the host's
                 # store/WAL; the sidecar has nothing left to say.
                 for name in (JOURNAL_NAME, STATE_NAME):
                     try:
@@ -411,77 +411,65 @@ class ServerStream:
 
 
 class StreamManager:
-    """The registry's stream table (created lazily by
+    """The stream table of one :class:`StreamHost` (created lazily by
     :meth:`SessionRegistry.stream_manager
-    <repro.service.registry.SessionRegistry.stream_manager>`).
+    <repro.service.registry.SessionRegistry.stream_manager>`, and by a
+    shard coordinator on construction).
 
-    Keyed by ``(session, stream)``.  Streams of durable sessions get
-    a journal + checkpoint sidecar and are **recovered lazily**: a
-    stream found on disk but not in memory (the post-restart case) is
-    rebuilt on first access, replaying its journal tail.
+    Keyed by ``(session, stream)``.  Streams the host gives a
+    directory get a journal + checkpoint sidecar and are **recovered
+    lazily**: a stream found on disk but not in memory (the
+    post-restart case) is rebuilt on first access, replaying its
+    journal tail.
     """
 
-    def __init__(self, registry) -> None:
-        self.registry = registry
+    def __init__(self, host: StreamHost) -> None:
+        self.host = host
         self._streams: Dict[Tuple[str, str], ServerStream] = {}
         self._lock = threading.Lock()
 
-    # -- plumbing -------------------------------------------------------
-    def _directory_for(self, session, stream: str) -> Optional[str]:
-        if session.durable is None:
-            return None
-        from urllib.parse import quote
-
-        return os.path.join(session.durable.directory, STREAMS_DIR,
-                            quote(stream, safe=""))
-
-    def _builder_for(self, session) -> TrajectoryBuilder:
-        space = session.workbench.space
-        if space is None:
-            from repro.louvre.space import LouvreSpace
-
-            space = LouvreSpace()
-            session.workbench.space = space
-        return TrajectoryBuilder(space.dataset_zone_nrg())
-
-    @staticmethod
-    def _fsync(session) -> bool:
-        """The fsync setting of the durable session whose directory
-        holds the stream's sidecar (unused for memory-only ones)."""
-        return session.durable.fsync if session.durable is not None \
-            else True
+    def _new_stream(self, session_name: str, stream: str,
+                    directory: Optional[str],
+                    gap_seconds: Optional[float] = None,
+                    **shape) -> ServerStream:
+        space = self.host.stream_space(session_name)
+        segmenter = WatermarkSegmenter(
+            TrajectoryBuilder(space.dataset_zone_nrg()),
+            gap_seconds=gap_seconds)
+        return ServerStream(self.host, session_name, stream, segmenter,
+                            directory, fsync=self.host.stream_fsync(),
+                            **shape)
 
     # -- the protocol surface -------------------------------------------
     def open(self, session_name: str, stream: str,
              gap_seconds: Optional[float] = None,
              checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-             max_open_events: int = DEFAULT_MAX_OPEN_EVENTS,
-             relay: bool = False) -> ServerStream:
+             max_open_events: int = DEFAULT_MAX_OPEN_EVENTS
+             ) -> ServerStream:
         """Open (or return the already-open) named stream.
 
         Creates the session on first use, like ingest does.  An
         existing open stream is returned as-is (idempotent) — the
         shape arguments of the first open win.
+
+        Raises:
+            PersistError: the sidecar cannot be written or recovered.
         """
-        session = self.registry.create(session_name)
+        self.host.stream_session(session_name)
         key = (session_name, stream)
         with self._lock:
             existing = self._streams.get(key)
             if existing is not None:
                 return existing
-            recovered = self._recover_locked(session, stream,
-                                             relay=relay)
+            recovered = self._recover_locked(session_name, stream)
             if recovered is not None:
                 return recovered
-            segmenter = WatermarkSegmenter(
-                self._builder_for(session), gap_seconds=gap_seconds)
-            server_stream = ServerStream(
-                self.registry, session_name, stream, segmenter,
-                self._directory_for(session, stream),
-                fsync=self._fsync(session),
+            server_stream = self._new_stream(
+                session_name, stream,
+                self.host.stream_directory(session_name, stream),
+                gap_seconds=gap_seconds,
                 checkpoint_every=checkpoint_every,
-                max_open_events=max_open_events,
-                relay=relay)
+                max_open_events=max_open_events)
             # The initial checkpoint records the stream's shape, so a
             # restart before the first fold still knows the stream.
             server_stream.write_state()
@@ -493,57 +481,35 @@ class StreamManager:
 
         Raises:
             UnknownStreamError: never opened (or already closed).
+            PersistError: the sidecar cannot be recovered.
         """
-        key = (session_name, stream)
         with self._lock:
-            held = self._streams.get(key)
+            held = self._streams.get((session_name, stream))
             if held is not None:
                 return held
-            try:
-                session = self.registry.get(session_name)
-            except KeyError:
-                # A stream that acked events but never closed an
-                # episode leaves no session WAL, so a restarted
-                # registry does not restore the session — only the
-                # stream sidecar proves it existed.  Recreate the
-                # session iff the sidecar is on disk.
-                if self._sidecar_path(session_name, stream) is None:
-                    raise UnknownStreamError(stream)
-                session = self.registry.create(session_name)
-            recovered = self._recover_locked(session, stream)
+            recovered = self._recover_locked(session_name, stream)
             if recovered is not None:
                 return recovered
             raise UnknownStreamError(stream)
 
-    def _sidecar_path(self, session_name: str,
-                      stream: str) -> Optional[str]:
-        """The stream's on-disk sidecar directory, or ``None`` when
-        absent (mirrors the registry's percent-quoted layout)."""
-        persist_dir = self.registry.persist_dir
-        if persist_dir is None:
-            return None
-        from urllib.parse import quote
-
-        path = os.path.join(persist_dir, quote(session_name, safe=""),
-                            STREAMS_DIR, quote(stream, safe=""))
-        return path if os.path.isdir(path) else None
-
-    def _recover_locked(self, session, stream: str,
-                        relay: bool = False
-                        ) -> Optional[ServerStream]:
-        """Rebuild a stream from its sidecar directory, if present.
-
-        ``relay`` is only the fallback for a sidecar whose state file
-        is missing or torn — a checkpointed state overrides it."""
-        directory = self._directory_for(session, stream)
+    def _recover_locked(self, session_name: str,
+                        stream: str) -> Optional[ServerStream]:
+        """Rebuild a stream from its sidecar directory, if present."""
+        directory = self.host.stream_directory(session_name, stream)
         if directory is None or not os.path.isdir(directory):
             return None
-        segmenter = WatermarkSegmenter(self._builder_for(session))
-        server_stream = ServerStream(
-            self.registry, session.name, stream, segmenter,
-            directory, fsync=self._fsync(session), relay=relay)
-        server_stream.recover()
-        self._streams[(session.name, stream)] = server_stream
+        # A stream that acked events but never closed an episode
+        # leaves no session WAL, so a restarted host does not restore
+        # the session — only the sidecar proves it existed.
+        self.host.stream_session(session_name)
+        server_stream = self._new_stream(session_name, stream,
+                                         directory)
+        try:
+            server_stream.recover()
+        except BaseException:
+            server_stream.journal.close()
+            raise
+        self._streams[(session_name, stream)] = server_stream
         return server_stream
 
     def close(self, session_name: str, stream: str
@@ -557,6 +523,18 @@ class StreamManager:
         with self._lock:
             self._streams.pop((session_name, stream), None)
         return server_stream.close()
+
+    def drop(self, session_name: str) -> None:
+        """Forget a dropped session's streams (the host deletes their
+        sidecars with the session)."""
+        with self._lock:
+            dropped = [self._streams.pop(key)
+                       for key in list(self._streams)
+                       if key[0] == session_name]
+        for server_stream in dropped:
+            with server_stream.lock:
+                if server_stream.journal is not None:
+                    server_stream.journal.close()
 
     def streams(self) -> List[ServerStream]:
         """Every open stream, insertion-ordered."""

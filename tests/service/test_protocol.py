@@ -107,8 +107,7 @@ COMMAND_STRATEGIES = {
         P.OpenStream, session=names, stream=names,
         gap_seconds=st.none() | st.floats(1.0, 1e6),
         checkpoint_every=st.integers(1, 1000),
-        max_open_events=st.integers(1, 10 ** 6),
-        relay=st.booleans()),
+        max_open_events=st.integers(1, 10 ** 6)),
     P.AppendEvents: st.builds(
         P.AppendEvents, session=names, stream=names,
         events=st.lists(st.fixed_dictionaries(
@@ -196,15 +195,11 @@ RESPONSE_STRATEGIES = {
         P.EventsAppended, session=names, stream=names,
         appended=counts, episodes_closed=counts,
         watermark=st.none() | floats, open_events=counts,
-        seq=counts,
-        episodes=st.lists(st.fixed_dictionaries(
-            {"mo_id": names}), max_size=2)),
+        seq=counts),
     P.StreamClosed: st.builds(
         P.StreamClosed, session=names, stream=names,
         episodes_closed=counts, episodes_total=counts,
-        events_acked=counts,
-        episodes=st.lists(st.fixed_dictionaries(
-            {"mo_id": names}), max_size=2)),
+        events_acked=counts),
     P.StoreStatsInfo: st.builds(
         P.StoreStatsInfo, doc_count=counts,
         states=st.dictionaries(names, counts, max_size=3),

@@ -355,3 +355,66 @@ def test_build_dataset_fans_out(corpus_docs):
         P.JobStatus(job_id=info.job_id))
     assert isinstance(status, P.JobInfo)
     assert status.state == "done"
+
+
+def stream_script(events, chunk=60):
+    """One stream's lifecycle as commands — appends watermarked by the
+    next unsent event, a status after each, and the error paths."""
+    from repro.stream.segmenter import event_to_dict
+
+    def on(stream, kind, **fields):
+        return kind(session="live", stream=stream, **fields)
+
+    yield on("gates", P.StreamStatus)  # unknown_stream
+    yield on("gates", P.OpenStream, checkpoint_every=3)
+    yield on("gates", P.OpenStream)  # idempotent: first shape wins
+    for start in range(0, len(events), chunk):
+        rest = start + chunk
+        yield on("gates", P.AppendEvents,
+                 events=[event_to_dict(e) for e in
+                         events[start:rest]],
+                 watermark=(events[rest].t_start
+                            if rest < len(events) else None))
+        yield on("gates", P.StreamStatus)
+    yield on("gates", P.AppendEvents, events=[{"mo_id": "broken"}])
+    yield on("gates", P.AppendEvents, watermark=True)
+    yield on("tight", P.OpenStream, max_open_events=2)
+    yield on("tight", P.AppendEvents,
+             events=[event_to_dict(e) for e in events[:3]])
+    yield on("tight", P.CloseStream)
+    yield on("gates", P.CloseStream)
+    yield on("gates", P.CloseStream)  # unknown_stream
+    yield P.ListSessions()
+    yield P.Summary(session="live")
+    yield P.RunQuery(session="live", limit=500)
+    yield P.RunQuery(session="live", limit=9, order_by="duration",
+                     descending=True)
+
+
+@pytest.mark.parametrize("durable", [False, True],
+                         ids=["memory", "durable"])
+@pytest.mark.parametrize("shard_count", SHARD_COUNTS)
+def test_stream_bytes_match(tmp_path, small_corpus, shard_count,
+                            durable):
+    """A stream run on a sharded engine answers every command —
+    open, appends, statuses, errors, close — and then serves its
+    episodes with the unsharded engine's bytes."""
+    from repro.service.registry import SessionRegistry
+    from repro.shard import ShardCoordinator
+
+    _, records = small_corpus
+    events = sorted(records, key=lambda r: (r.t_start, r.t_end,
+                                            r.mo_id))
+    reference = SessionRegistry(
+        persist_dir=str(tmp_path / "single") if durable else None,
+        fsync=False)
+    sharded = ShardCoordinator.local(
+        shard_count,
+        persist_dir=str(tmp_path / "shards") if durable else None,
+        fsync=False)
+    try:
+        for command in stream_script(events):
+            assert wire(sharded, command) == wire(reference, command), \
+                command.kind
+    finally:
+        sharded.close()

@@ -82,12 +82,10 @@ reloads = st.tuples(st.just("reload"))
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(feeds, feeds, advances, reloads),
                 max_size=60),
-       st.booleans(),
        # under the overlap tolerance, a visitor with no open episode
        # may still end past the watermark (and must be remembered)
        st.sampled_from([GAP, 5.0]))
-def test_checkpoints_match_a_segmenter_that_never_forgets(ops, relay,
-                                                          gap):
+def test_checkpoints_match_a_segmenter_that_never_forgets(ops, gap):
     builder = make_builder()
     subject = WatermarkSegmenter(builder, gap_seconds=gap)
     reference = NeverForgets(builder, gap_seconds=gap)
@@ -95,7 +93,7 @@ def test_checkpoints_match_a_segmenter_that_never_forgets(ops, relay,
     clock = last_end = 0.0
     with tempfile.TemporaryDirectory() as directory:
         stream = ServerStream(None, "s", "live", subject, directory,
-                              fsync=False, relay=relay)
+                              fsync=False)
         for op in ops:
             if op[0] == "feed":
                 _, visitor, visit_id, state, offset, duration = op
@@ -124,8 +122,6 @@ def test_checkpoints_match_a_segmenter_that_never_forgets(ops, relay,
             assert subject.metrics.to_dict() \
                 == reference.metrics.to_dict()
             assert_bounded(subject)
-            if relay:
-                stream.pending = list(subject_out[-2:])
             stream.write_state()
             with open(os.path.join(directory, STATE_NAME), "rb") as f:
                 assert f.read() \

@@ -109,6 +109,19 @@ class TestLifecycle:
         # but the episodes it stored are still there
         assert len(registry2.get(SESSION).workbench.store) == 1
 
+    def test_dropped_session_forgets_its_streams(self, persist_dir):
+        from repro.service import protocol as P
+
+        registry, manager = make_manager(persist_dir)
+        manager.open(SESSION, STREAM).append(walk("alice", 0.0),
+                                             watermark=None)
+        registry.drop(SESSION)
+        # the next append would close alice into a dropped session
+        response = registry.execute_command(P.AppendEvents(
+            session=SESSION, stream=STREAM, watermark=GAP * 2))
+        assert isinstance(response, P.ErrorInfo)
+        assert response.code == "unknown_stream"
+
     def test_memory_only_registry_streams_work(self):
         registry, manager = make_manager(None)
         stream = manager.open(SESSION, STREAM)
