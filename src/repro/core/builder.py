@@ -236,12 +236,16 @@ class TrajectoryBuilder:
         record starting before its predecessor's end (minus the
         bounded sensing overlap the model tolerates) is either fully
         contained — dropped — or clipped to start where the
-        predecessor ended.
+        predecessor ended.  The last accepted start is a second
+        floor, since a clip moves a start later than the next
+        record's: a record starting before it is clipped to it, or
+        dropped when it ends by then.
         """
         from repro.core.trajectory import DETECTION_OVERLAP_TOLERANCE
 
         resolved: List[DetectionRecord] = []
         last_end: Dict[str, float] = {}
+        last_start: Dict[str, float] = {}
         for record in records:
             previous_end = last_end.get(record.mo_id)
             if previous_end is not None and record.t_start \
@@ -253,7 +257,17 @@ class TrajectoryBuilder:
                     record.mo_id, record.state, previous_end,
                     record.t_end, record.visit_id, record.attributes)
                 report.clipped_overlaps += 1
+            floor = last_start.get(record.mo_id)
+            if floor is not None and record.t_start < floor:
+                if record.t_end <= floor:
+                    report.dropped_contained += 1
+                    continue
+                record = DetectionRecord(
+                    record.mo_id, record.state, floor, record.t_end,
+                    record.visit_id, record.attributes)
+                report.clipped_overlaps += 1
             resolved.append(record)
+            last_start[record.mo_id] = record.t_start
             last_end[record.mo_id] = max(record.t_end,
                                          previous_end or record.t_end)
         return resolved

@@ -28,12 +28,16 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.indoor.multilayer import JointEdge, LayeredIndoorGraph
 from repro.spatial.topology import HIERARCHY_RELATIONS, TopologicalRelation
 
 
 #: Distinguishes "cached None" from "not cached" in the LCA memo.
 _MISSING = object()
+#: The similarity memo of a hierarchy that has scored no node yet.
+_EMPTY_MEMO: Tuple[Dict[str, int], np.ndarray] = ({}, np.empty((0, 0)))
 
 
 class LayerRole(enum.Enum):
@@ -110,6 +114,11 @@ class LayerHierarchy:
         self._cache_limit = 1 << 16
         self._lca_cache: Dict[Tuple[str, str], Optional[str]] = {}
         self._depth_cache: Dict[str, int] = {}
+        # node -> code and the node_similarity of every code pair;
+        # replaced whole (never mutated), so readers on other threads
+        # always see a matching pair.
+        self._similarity_memo: Tuple[Dict[str, int], np.ndarray] = \
+            _EMPTY_MEMO
         self._index_edges()
         if validate:
             errors = self.validate()
@@ -274,17 +283,75 @@ class LayerHierarchy:
             self._depth_cache[node] = depth
         return depth
 
+    def node_similarity(self, node_a: str, node_b: str) -> float:
+        """Wu–Palmer-style similarity of two nodes in [0, 1].
+
+        ``2·depth(lca) / (depth(a) + depth(b))`` with layer levels as
+        depths (+1 so the root level is non-zero).  Nodes with no
+        common ancestor score 0; a node scores 1 with itself.
+        """
+        if node_a == node_b:
+            return 1.0
+        lca = self.lowest_common_ancestor(node_a, node_b)
+        if lca is None:
+            return 0.0
+        depth_a = self.depth_of_node(node_a) + 1
+        depth_b = self.depth_of_node(node_b) + 1
+        depth_lca = self.depth_of_node(lca) + 1
+        return 2.0 * depth_lca / (depth_a + depth_b)
+
+    def similarity_table(self, nodes: Sequence[str]) -> np.ndarray:
+        """:meth:`node_similarity` of every pair of ``nodes``, as a
+        ``len(nodes)`` square matrix.
+
+        Read from a memo over every node scored so far, so each pair
+        is walked once per hierarchy rather than once per call; the
+        memo holds at most ``_cache_limit`` cells and starts over when
+        a call would pass that.
+        """
+        index, values = self._similarity_memo
+        fresh = [node for node in dict.fromkeys(nodes)
+                 if node not in index]
+        if fresh:
+            if (len(index) + len(fresh)) ** 2 > self._cache_limit:
+                index, values = _EMPTY_MEMO
+                fresh = list(dict.fromkeys(nodes))
+            index, values = self._extend_memo(index, values, fresh)
+            if len(values) ** 2 <= self._cache_limit:
+                self._similarity_memo = (index, values)
+        codes = [index[node] for node in nodes]
+        return values[np.ix_(codes, codes)]
+
+    def _extend_memo(self, index: Dict[str, int], values: np.ndarray,
+                     fresh: List[str]
+                     ) -> Tuple[Dict[str, int], np.ndarray]:
+        """A copy of the memo ``(index, values)`` that also scores
+        the ``fresh`` nodes against every node."""
+        index = dict(index)
+        for node in fresh:
+            index[node] = len(index)
+        grown = np.empty((len(index), len(index)))
+        grown[:len(values), :len(values)] = values
+        nodes = list(index)
+        for node_a in fresh:
+            code_a = index[node_a]
+            for code_b in range(code_a + 1):
+                grown[code_a, code_b] = grown[code_b, code_a] = \
+                    self.node_similarity(node_a, nodes[code_b])
+        return index, grown
+
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
     def invalidate_caches(self) -> None:
-        """Drop the memoized LCA/depth lookups.
+        """Drop the memoized LCA/depth lookups and similarities.
 
         Needed only when the underlying graph changed; :meth:`reindex`
         calls this automatically.
         """
         self._lca_cache.clear()
         self._depth_cache.clear()
+        self._similarity_memo = _EMPTY_MEMO
 
     def reindex(self) -> None:
         """Rebuild parent/child maps after graph mutation.

@@ -12,10 +12,21 @@ are provided:
   room are nearly interchangeable, two zones in different wings are
   not.  This is only expressible because the SITM carries the static
   layer hierarchy of Section 3.2.
+
+:func:`similarity_matrix` and :func:`similarity_block` score each
+distinct sequence pair once, bit-identical to the per-pair DPs above.
+The substitution costs come from the hierarchy's memoized pair table
+(:meth:`LayerHierarchy.similarity_table`).  The pairs, each with its
+shorter side as the rows and sorted by side sum, run in chunks of at
+most :data:`CHUNK_CELLS` cells through one rolling anti-diagonal pass
+in numpy (:func:`_rolling_chunk`); pairs that would leave the pass
+few cells per step (a long side beside a short one) take the scalar
+DP instead.
 """
 
 from __future__ import annotations
 
+import itertools
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,17 +85,9 @@ def state_similarity(hierarchy: LayerHierarchy, state_a: str,
 
     ``2·depth(lca) / (depth(a) + depth(b))`` with layer levels as
     depths (+1 so the root level is non-zero).  States with no common
-    ancestor score 0.
+    ancestor score 0 (:meth:`LayerHierarchy.node_similarity`).
     """
-    if state_a == state_b:
-        return 1.0
-    lca = hierarchy.lowest_common_ancestor(state_a, state_b)
-    if lca is None:
-        return 0.0
-    depth_a = hierarchy.depth_of_node(state_a) + 1
-    depth_b = hierarchy.depth_of_node(state_b) + 1
-    depth_lca = hierarchy.depth_of_node(lca) + 1
-    return 2.0 * depth_lca / (depth_a + depth_b)
+    return hierarchy.node_similarity(state_a, state_b)
 
 
 def state_similarity_table(hierarchy: LayerHierarchy,
@@ -142,20 +145,16 @@ def hierarchy_similarity(hierarchy: LayerHierarchy,
 
 def _encoded_costs(hierarchy: Optional[LayerHierarchy],
                    sequences: Sequence[Sequence[str]]
-                   ) -> Tuple[List[List[int]], List[List[float]]]:
-    """Sequences as state codes plus a dense substitution-cost matrix
-    (without a hierarchy every substitution costs 1: the soft edit
-    distance is then the exact, small-integer edit distance)."""
+                   ) -> Tuple[List[List[int]], np.ndarray]:
+    """Sequences as state codes plus a dense substitution-cost matrix,
+    from the hierarchy's memoized similarity table (without a
+    hierarchy every substitution costs 1: the soft edit distance is
+    then the exact, small-integer edit distance)."""
     alphabet = sorted({state for sequence in sequences
                        for state in sequence})
     code_of = {state: code for code, state in enumerate(alphabet)}
-    costs = [[0.0] * len(alphabet) for _ in alphabet]
-    for code_a, state_a in enumerate(alphabet):
-        for code_b in range(code_a + 1, len(alphabet)):
-            cost = 1.0 if hierarchy is None else 1.0 - state_similarity(
-                hierarchy, state_a, alphabet[code_b])
-            costs[code_a][code_b] = cost
-            costs[code_b][code_a] = cost
+    costs = 1.0 - (np.eye(len(alphabet)) if hierarchy is None
+                   else hierarchy.similarity_table(alphabet))
     encoded = [[code_of[state] for state in sequence]
                for sequence in sequences]
     return encoded, costs
@@ -177,86 +176,156 @@ def _soft_edit_similarity(a: Sequence[int], b: Sequence[int],
     return 1.0 - previous[-1] / max(len(a), len(b))
 
 
-#: Cells of the one workspace every batch of the kernel reuses.
-WORKSPACE_CELLS = 32768
-#: Buckets whose batches update fewer cells per anti-diagonal step go
-#: to the scalar DP (numpy calls grow with sides' sum, cells with product).
+#: Cells (8 bytes each) that one chunk of pairs may hold at once: its
+#: three rolling diagonals, both sides' codes and a step's scratch.
+CHUNK_CELLS = 1 << 15
+#: The leading (longest) pairs of a chunk go to the scalar DP while
+#: they alone would keep the batch stepping with fewer cells updated
+#: per anti-diagonal step than this (numpy calls grow with the steps,
+#: cells with the sides' product).
 MIN_STEP_CELLS = 32
 
 
+def _scalar_lead(sums: np.ndarray, cells: np.ndarray) -> int:
+    """How many leading pairs (sorted by side sum, descending) the
+    scalar DP should score: the longest run whose cells number fewer
+    than ``MIN_STEP_CELLS`` per anti-diagonal step that only it needs
+    (steps past the next pair's sum; all of them for the whole run)."""
+    only_theirs = sums[0] - np.append(sums[1:], 0)
+    cheap = np.flatnonzero(np.cumsum(cells) < MIN_STEP_CELLS * only_theirs)
+    return int(cheap[-1]) + 1 if len(cheap) else 0
+
+
+def _chunk_size(rows: np.ndarray, cols: np.ndarray) -> int:
+    """How many leading pairs fit :data:`CHUNK_CELLS` (at least one):
+    a pair takes ``7 · rows + cols + 11`` cells at the chunk's widest
+    rows and columns (:func:`_rolling_chunk`)."""
+    window = slice(0, CHUNK_CELLS // (7 + 1 + 11))  # 1 × 1 pairs
+    need = np.arange(1, len(rows[window]) + 1) * (
+        7 * np.maximum.accumulate(rows[window])
+        + np.maximum.accumulate(cols[window]) + 11)
+    return max(1, int(np.searchsorted(need, CHUNK_CELLS, "right")))
+
+
 def _pair_similarities(unique: Sequence[Tuple[int, ...]],
-                       costs: List[List[float]],
+                       costs: np.ndarray,
                        lower: np.ndarray, upper: np.ndarray
                        ) -> np.ndarray:
     """Soft edit similarity of each pair ``(unique[lower[p]],
-    unique[upper[p]])`` of distinct coded sequences, batched: sides are
-    padded to the next power of two (at least 4), pairs bucketed by
-    both, and a batch's DP runs in anti-diagonal order (whose cells are
-    independent) on strided views of the fixed workspace, one pair per
-    column, through ``out=``.  Every cell does the IEEE operations of
-    :func:`hierarchy_similarity`'s DP: the values are bit-identical.
+    unique[upper[p]])`` of distinct coded sequences.
+
+    Each pair is oriented with its shorter side as the rows (the DP of
+    the transposed grid is bit-identical: the costs are symmetric and
+    ``min`` is exact), and the pairs are sorted by their sides' sum,
+    descending, so the pairs still running at any anti-diagonal are a
+    prefix.  Chunks of consecutive pairs, each within
+    :data:`CHUNK_CELLS`, run by :func:`_rolling_chunk`; the leading
+    pairs that would make a chunk step with few cells (a long side
+    beside a short one) run by the scalar DP instead.
     """
     lengths = np.array([len(codes) for codes in unique], dtype=np.intp)
-    power = np.array([max(2, (len(codes) - 1).bit_length())
-                      for codes in unique], dtype=np.intp)
-    slot, padded = np.empty_like(power), {}  # sequences by padded length
-    for exponent in map(int, np.flatnonzero(np.bincount(power))):
-        members = np.flatnonzero(power == exponent)
-        slot[members] = np.arange(len(members))
-        padded[1 << exponent] = np.zeros((len(members), 1 << exponent),
-                                         np.intp)
-        for row, member in zip(padded[1 << exponent], members):
-            row[:lengths[member]] = unique[member]
-    len_a, len_b = lengths[lower], lengths[upper]
-    longer, powers = np.maximum(len_a, len_b), int(power.max()) + 1
-    bucket = power[lower] * powers + power[upper]
-    values = np.empty(len(lower))  # an empty side scores 1 − n / n = 0
-    table = np.array(costs, dtype=float).ravel()
-    work = np.empty(WORKSPACE_CELLS)
-    for key in map(int, np.flatnonzero(np.bincount(bucket))):
-        chosen = np.flatnonzero(bucket == key)
-        rows, cols = (1 << exponent for exponent in divmod(key, powers))
-        width = cols + 1
-        # Per pair: its DP grid, its substitution costs, a DP step.
-        grid, costs_at = (rows + 1) * width, (rows + 1) * width + rows * cols
-        size = WORKSPACE_CELLS // (costs_at + rows)
-        if size * rows * cols < MIN_STEP_CELLS * (rows + cols):
-            values[chosen] = [_soft_edit_similarity(
-                unique[lower[p]], unique[upper[p]], costs) for p in chosen]
-            continue
-        for pairs in np.split(chosen, range(size, len(chosen), size)):
-            batch = len(pairs)
-            dp = work[:grid * batch].reshape(-1, batch)
-            sub = work[grid * batch:costs_at * batch].reshape(-1, batch)
-            spare = work[costs_at * batch:(costs_at + rows) * batch]
-            # The cost lookup borrows the grid's cells before the DP.
-            index = dp.view(np.intp)[:rows * cols].reshape(rows, cols, -1)
-            np.multiply(padded[rows][slot[lower[pairs]]].T[:, None],
-                        len(costs), out=index)
-            np.add(index, padded[cols][slot[upper[pairs]]].T[None],
-                   out=index)
-            np.take(table, index.reshape(-1, batch), out=sub, mode="clip")
-            dp[:width] = np.arange(width, dtype=float)[:, None]
-            dp[::width] = np.arange(rows + 1, dtype=float)[:, None]
-            for diagonal in range(2, rows + cols + 1):
-                first = max(1, diagonal - cols)
-                count = min(rows, diagonal - 1) - first + 1
-                at = first * width + diagonal - first
-                stop = at + (count - 1) * cols + 1
-                at_sub = (first - 1) * cols + diagonal - first - 1
-                cell = dp[at:stop:cols]
-                step = spare[:count * batch].reshape(count, batch)
-                np.add(dp[at - width - 1:stop - width - 1:cols],
-                       sub[at_sub:at_sub + (count - 1) * (cols - 1) + 1:
-                           cols - 1], out=cell)
-                np.add(dp[at - width:stop - width:cols], 1.0, out=step)
-                np.minimum(cell, step, out=cell)
-                np.add(dp[at - 1:stop - 1:cols], 1.0, out=step)
-                np.minimum(cell, step, out=cell)
-            distance = dp[len_a[pairs] * width + len_b[pairs],
-                          np.arange(batch)]
-            values[pairs] = 1.0 - distance / longer[pairs]
+    swap = lengths[lower] > lengths[upper]
+    short = np.where(swap, upper, lower)
+    long = np.where(swap, lower, upper)
+    # An empty side scores 1 − n / n = 0.
+    values = np.zeros(len(lower))
+    live = np.flatnonzero(lengths[short])
+    order = live[np.argsort(-(lengths[short] + lengths[long])[live],
+                            kind="stable")]
+    short, long = short[order], long[order]
+    rows, cols = lengths[short], lengths[long]
+    sums, cells = rows + cols, rows * cols
+    # Every sequence's codes back to back, then one padding code.
+    flat = np.fromiter(itertools.chain(*unique, [0]), np.intp,
+                       int(lengths.sum()) + 1)
+    offsets = np.cumsum(lengths) - lengths
+    table = costs.ravel()
+    scalar_costs: List[List[float]] = []
+    start = 0
+    while start < len(order):
+        size = _chunk_size(rows[start:], cols[start:])
+        stop = start + size
+        lead = start + _scalar_lead(sums[start:stop], cells[start:stop])
+        if lead > start:
+            scalar_costs = scalar_costs or costs.tolist()
+            values[order[start:lead]] = [_soft_edit_similarity(
+                unique[lower[p]], unique[upper[p]], scalar_costs)
+                for p in order[start:lead]]
+        if lead < stop:
+            distance = _rolling_chunk(
+                flat, offsets[short[lead:stop]], offsets[long[lead:stop]],
+                rows[lead:stop], cols[lead:stop], table, len(costs))
+            values[order[lead:stop]] = 1.0 - distance / cols[lead:stop]
+        start = stop
     return values
+
+
+def _rolling_chunk(flat: np.ndarray, short_at: np.ndarray,
+                   long_at: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray, table: np.ndarray,
+                   alphabet: int) -> np.ndarray:
+    """The soft edit distances of one chunk of pairs, sorted by side
+    sum (descending), each with ``rows[p] <= cols[p]``, whose codes
+    start at ``short_at[p]`` / ``long_at[p]`` in ``flat``.
+
+    The DP runs in anti-diagonal order: diagonal ``d`` holds cells
+    ``(i, d − i)`` at index ``i + 1``, one pair per column, and
+    depends only on diagonals ``d − 1`` and ``d − 2``, so three
+    rolling arrays hold the whole state.  Index 0 (row −1) and every
+    cell below a diagonal's last row stay ``inf``, so the border cells
+    ``(0, j) = j`` and ``(i, 0) = i`` come out of the same recurrence
+    as the rest.  A step gathers its substitution costs with one
+    ``add`` of the code views (the long side stored reversed, so its
+    codes along a diagonal are contiguous) and one ``take``, and then
+    does, per cell, the IEEE operations of
+    :func:`hierarchy_similarity`'s DP.  Cells outside a pair's grid
+    hold garbage that no cell inside it reads.  A pair's distance is
+    read when its last diagonal passes.
+    """
+    pairs, height, width = len(rows), int(rows.max()), int(cols.max())
+    pad = len(flat) - 1
+    # Row r + 1 holds the short side's code r (times the alphabet
+    # size), row 0 the padding code; row k of the long side holds its
+    # code width − 1 − k, row width the padding code.
+    row = np.arange(-1, height)[:, None]
+    short_codes = flat[np.where((row >= 0) & (row < rows),
+                                short_at + row, pad)] * alphabet
+    back = width - 1 - np.arange(width + 1)[:, None]
+    long_codes = flat[np.where((back >= 0) & (back < cols),
+                               long_at + back, pad)]
+    # Diagonals −1 (all inf) and 0 (D[0][0] = 0).
+    earlier, previous, current = np.full((3, height + 2, pairs), np.inf)
+    previous[1] = 0.0
+    index = np.empty((height + 1) * pairs, dtype=np.intp)
+    scratch = np.empty((2, (height + 1) * pairs))
+    # running[d]: pairs whose last diagonal is d or later.
+    running = np.cumsum(np.bincount(rows + cols)[::-1])[::-1].tolist()
+    running.append(0)
+    answer_at = (rows + 1) * pairs + np.arange(pairs)
+    distance = np.empty(pairs)
+    for diagonal in range(1, len(running) - 1):
+        live = running[diagonal]
+        first, last = max(0, diagonal - width), min(height, diagonal)
+        count = last - first + 1
+        at = width - diagonal
+        cost_index = index[:count * live].reshape(count, live)
+        costs = scratch[0, :count * live].reshape(count, live)
+        step = scratch[1, :count * live].reshape(count, live)
+        cell = current[first + 1:last + 2, :live]
+        np.add(short_codes[first:last + 1, :live],
+               long_codes[at + first:at + last + 1, :live],
+               out=cost_index)
+        table.take(cost_index, out=costs, mode="clip")
+        np.add(earlier[first:last + 1, :live], costs, out=cell)
+        np.add(previous[first:last + 1, :live], 1.0, out=step)
+        np.minimum(cell, step, out=cell)
+        np.add(previous[first + 1:last + 2, :live], 1.0, out=step)
+        np.minimum(cell, step, out=cell)
+        done = running[diagonal + 1]
+        if done < live:
+            distance[done:live] = current.take(answer_at[done:live])
+        earlier, previous, current = previous, current, earlier
+    return distance
 
 
 def similarity_matrix(hierarchy: Optional[LayerHierarchy],

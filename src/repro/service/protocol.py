@@ -38,9 +38,12 @@ from __future__ import annotations
 import base64
 import binascii
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple, Type
+
+import numpy as np
 
 from repro.core.trajectory import SemanticTrajectory
 from repro.mining.flow import FlowBalance
@@ -126,6 +129,38 @@ def splice_json(fields: Mapping, key: str, raw: bytes) -> bytes:
                      b"," if len(after) > 2 else b"", after[1:]))
 
 
+def matrix_json(rows: object) -> bytes:
+    """``canonical_json(rows)`` for a list of lists of floats, with
+    each distinct value encoded once rather than once per entry (a
+    similarity matrix repeats few values many times).
+
+    Values are told apart by their bits, so ``-0.0`` and ``0.0`` keep
+    their own spellings.  Anything but a non-empty list of lists of
+    exact floats goes to :func:`canonical_json` itself.
+    """
+    if type(rows) is not list or set(map(type, rows)) - {list}:
+        return canonical_json(rows)
+    flat = list(itertools.chain.from_iterable(rows))
+    if not flat or set(map(type, flat)) - {float}:
+        return canonical_json(rows)
+    values = np.fromiter(flat, float, len(flat))
+    bits = values.view(np.int64)
+    order = bits.argsort(kind="stable")
+    ranked = bits[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    # No float's JSON holds a comma.
+    tokens = canonical_json(values[order[first]].tolist())[1:-1]
+    text = np.array(tokens.split(b","), dtype=object)[inverse].tolist()
+    ends = list(itertools.accumulate(map(len, rows)))
+    return b"[[" + b"],[".join([
+        b",".join(text[start:end])
+        for start, end in zip([0] + ends[:-1], ends)]) + b"]]"
+
+
 # ----------------------------------------------------------------------
 # message plumbing
 # ----------------------------------------------------------------------
@@ -142,6 +177,9 @@ class _Message:
 
     kind: str = ""
     _tag: str = ""  # "command" or "response"
+    #: A field holding a float matrix, encoded by :func:`matrix_json`
+    #: and spliced into the object (``None``: no such field).
+    _matrix_field: Optional[str] = None
 
     def to_dict(self) -> Dict:
         """JSON-safe plain-data form, tagged with kind and version."""
@@ -152,7 +190,11 @@ class _Message:
 
     def to_json(self) -> bytes:
         """Canonical JSON bytes of :meth:`to_dict`."""
-        return canonical_json(self.to_dict())
+        data = self.to_dict()
+        if self._matrix_field is None:
+            return canonical_json(data)
+        return splice_json(data, self._matrix_field,
+                           matrix_json(data[self._matrix_field]))
 
     @classmethod
     def _from_fields(cls, data: Mapping) -> "_Message":
@@ -950,6 +992,7 @@ class SimilarityMatrix(Response):
     """Reply to ``Similarity``: the symmetric pairwise matrix."""
 
     kind = "SimilarityMatrix"
+    _matrix_field = "matrix"
 
     matrix: List[List[float]] = field(default_factory=list)
 
@@ -1035,6 +1078,7 @@ class SimilarityRows(Response):
     """Reply to ``SimilarityBlock``: the requested row block."""
 
     kind = "SimilarityRows"
+    _matrix_field = "rows"
 
     rows: List[List[float]] = field(default_factory=list)
 

@@ -210,8 +210,12 @@ class WatermarkSegmenter:
         #: the records in ``_buffers``, kept at every change to it.
         self._open_events = 0
         #: per-visitor repair state — carried *across* episodes,
-        #: exactly like the batch ``_resolve_overlaps`` last_end map.
+        #: exactly like the batch ``_resolve_overlaps`` last_end and
+        #: last_start maps.  ``_last_start`` holds only visitors whose
+        #: last accepted event was clipped: events arrive in order, so
+        #: an unclipped start is no floor for the next one.
         self._last_end: Dict[str, float] = {}
+        self._last_start: Dict[str, float] = {}
         #: per-visitor sort-order key of the last accepted event, for
         #: detecting out-of-order arrivals (batch sorts globally).
         self._last_key: Dict[str, Tuple[float, float]] = {}
@@ -276,6 +280,7 @@ class WatermarkSegmenter:
             metrics.dropped_late += 1
             return []
         self._last_key[record.mo_id] = order_key
+        start = record.t_start
         previous_end = self._last_end.get(record.mo_id)
         if previous_end is not None and record.t_start \
                 < previous_end - DETECTION_OVERLAP_TOLERANCE:
@@ -285,6 +290,15 @@ class WatermarkSegmenter:
             record = DetectionRecord(
                 record.mo_id, record.state, previous_end,
                 record.t_end, record.visit_id, record.attributes)
+            metrics.overlap_clipped += 1
+        floor = self._last_start.get(record.mo_id)
+        if floor is not None and record.t_start < floor:
+            if record.t_end <= floor:
+                metrics.drop("overlap_contained")
+                return []
+            record = DetectionRecord(
+                record.mo_id, record.state, floor, record.t_end,
+                record.visit_id, record.attributes)
             metrics.overlap_clipped += 1
         closed: List[SemanticTrajectory] = []
         if buffer is not None and record.visit_id is None \
@@ -296,6 +310,10 @@ class WatermarkSegmenter:
             buffer = self._buffers.setdefault(key, [])
         buffer.append(record)
         self._open_events += 1
+        if record.t_start == start:
+            self._last_start.pop(record.mo_id, None)
+        else:
+            self._last_start[record.mo_id] = record.t_start
         self._last_end[record.mo_id] = max(
             record.t_end,
             previous_end if previous_end is not None else record.t_end)
@@ -340,9 +358,10 @@ class WatermarkSegmenter:
 
         No episode changes: an on-time event starts at or past the
         watermark, so it is past the forgotten ``last_end`` and
-        neither the order test nor the overlap clip could fire, and
-        its own ``t_end`` becomes the new ``last_end``; a late one
-        finds no open episode and drops as ``late`` first.
+        ``last_start``, neither the order test nor the overlap clip
+        could fire, and its own ``t_end`` becomes the new
+        ``last_end``; a late one finds no open episode and drops as
+        ``late`` first.
         """
         watermark = self.watermark
         open_visitors = {mo_id for mo_id, _ in self._buffers}
@@ -350,6 +369,7 @@ class WatermarkSegmenter:
                     if end < watermark and mo_id not in open_visitors]
         for mo_id in finished:
             del self._last_end[mo_id]
+            self._last_start.pop(mo_id, None)
             self._last_key.pop(mo_id, None)
 
     # -- checkpoint state ----------------------------------------------
@@ -367,6 +387,7 @@ class WatermarkSegmenter:
                           else self.watermark),
             "gap_seconds": self.gap_seconds,
             "last_end": dict(self._last_end),
+            "last_start": dict(self._last_start),
             "last_key": {mo: list(key)
                          for mo, key in self._last_key.items()},
             "metrics": self.metrics.to_dict(),
@@ -422,6 +443,8 @@ class WatermarkSegmenter:
         self._open_events = sum(map(len, self._buffers.values()))
         self._last_end = {str(mo): float(end) for mo, end
                           in (state.get("last_end") or {}).items()}
+        self._last_start = {str(mo): float(start) for mo, start
+                            in (state.get("last_start") or {}).items()}
         self._last_key = {str(mo): (float(key[0]), float(key[1]))
                           for mo, key
                           in (state.get("last_key") or {}).items()}

@@ -82,6 +82,31 @@ class TestCleaning:
         assert report.clipped_overlaps == 0
         assert kept[1].t_start == 96
 
+    def test_record_starting_before_a_clipped_start_is_clipped(
+            self, builder):
+        """A clip moves a start past the next record's: the last
+        accepted start is a second floor, so the trace stays in
+        order (these three records raised TraceValidationError)."""
+        records = [rec("v0", "a", 0, 20), rec("v0", "a", 5, 25),
+                   rec("v0", "a", 15, 23)]
+        kept, report = builder.clean(records)
+        assert [(r.t_start, r.t_end) for r in kept] \
+            == [(0, 20), (20, 25), (20, 23)]
+        assert report.clipped_overlaps == 2
+        trajectories, _ = builder.build_all(records)
+        assert len(trajectories) == 1
+
+    def test_record_ending_by_a_clipped_start_is_dropped(self, builder):
+        records = [rec("v0", "a", 0, 20), rec("v0", "a", 5, 25),
+                   rec("v0", "b", 16, 19)]  # within the tolerance of 25
+        kept, report = builder.clean(records)
+        assert [(r.t_start, r.t_end) for r in kept] \
+            == [(0, 20), (20, 25)]
+        assert report.dropped_contained == 1
+        assert report.clipped_overlaps == 1
+        trajectories, _ = builder.build_all(records)
+        assert len(trajectories) == 1
+
     def test_different_mos_never_clipped(self, builder):
         kept, report = builder.clean([
             rec("m1", "a", 0, 100),

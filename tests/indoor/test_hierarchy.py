@@ -197,6 +197,43 @@ class TestMemoization:
         assert hierarchy.parent("F0") == "B"
         assert hierarchy.lowest_common_ancestor("F0", "F1") == "B"
 
+    def test_similarity_table_matches_node_similarity(self, hierarchy):
+        nodes = ["r1", "r3", "F0", "B", "r1", "ghost"]
+        table = hierarchy.similarity_table(nodes)
+        assert table.shape == (6, 6)
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                assert table[i, j] == hierarchy.node_similarity(a, b)
+        assert hierarchy.node_similarity("r1", "r2") == 2 * 2 / (3 + 3)
+        # A second call reads the memo, new nodes extend it.
+        assert hierarchy.similarity_table(["r2", "r1"]).tolist() \
+            == [[1.0, 2 / 3], [2 / 3, 1.0]]
+
+    def test_similarity_memo_is_bounded(self, hierarchy):
+        hierarchy._cache_limit = 9  # three nodes
+        hierarchy.similarity_table(["r1", "r2"])
+        assert len(hierarchy._similarity_memo[0]) == 2
+        # Four nodes would pass the limit: the memo starts over.
+        table = hierarchy.similarity_table(["r3", "F1"])
+        assert len(hierarchy._similarity_memo[0]) == 2
+        assert table[0, 1] == hierarchy.node_similarity("r3", "F1")
+        # A call whose nodes alone pass it is answered, not kept.
+        nodes = ["r1", "r2", "r3", "F0"]
+        table = hierarchy.similarity_table(nodes)
+        assert table[0, 3] == hierarchy.node_similarity("r1", "F0")
+        assert len(hierarchy._similarity_memo[0]) <= 3
+
+    def test_reindex_refreshes_similarities(self):
+        graph = LayeredIndoorGraph("growing")
+        graph.add_layer(layer("building", ["B"]))
+        graph.add_layer(layer("floor", ["F0", "F1"]))
+        hierarchy = LayerHierarchy(graph, ["building", "floor"])
+        assert hierarchy.similarity_table(["F0", "F1"])[0, 1] == 0.0
+        add_hierarchy_edge(graph, "B", "F0")
+        add_hierarchy_edge(graph, "B", "F1")
+        hierarchy.reindex()
+        assert hierarchy.similarity_table(["F0", "F1"])[0, 1] == 0.5
+
     def test_invalidate_caches_alone_keeps_navigation(self, hierarchy):
         assert hierarchy.lowest_common_ancestor("r1", "r2") == "F0"
         hierarchy.invalidate_caches()

@@ -271,7 +271,8 @@ def hexed(rows: List[List[float]]) -> List[List[str]]:
 
 def state_corpora(states: List[str]):
     """Corpora with repeats, empty sequences and sequences up to 40
-    long, so every padded length from 4 to 64 meets every other."""
+    long, so short and long sides meet in both orders and the pairs'
+    side sums spread over chunks."""
     sequence = st.one_of(
         st.lists(st.sampled_from(states[:6]), max_size=5),
         st.lists(st.sampled_from(states), max_size=40))
@@ -280,19 +281,20 @@ def state_corpora(states: List[str]):
         .map(lambda extra: base + extra))
 
 
-#: Workspaces small enough that one matrix spans many batches (and
-#: long pairs fall back to the scalar DP), besides the real one.
-workspaces = st.sampled_from([300, 1000, similarity.WORKSPACE_CELLS])
-#: Per-step cell floors: batch whatever fits, the real rule, and
-#: score every pair with the scalar DP.
-step_floors = st.sampled_from([1, similarity.MIN_STEP_CELLS, 10 ** 9])
+#: Chunk budgets small enough that one matrix spans many chunks (down
+#: to one pair each), besides the real one.
+chunk_budgets = st.one_of(st.integers(min_value=1, max_value=2000),
+                          st.just(similarity.CHUNK_CELLS))
+#: Per-step cell floors: batch every pair, the real rule, and score
+#: every pair with the scalar DP.
+step_floors = st.sampled_from([0, similarity.MIN_STEP_CELLS, 10 ** 9])
 
 
 def kernel_settings(data):
-    """Patch the kernel's workspace and batching floor to drawn
+    """Patch the kernel's chunk budget and batching floor to drawn
     values."""
     patched = mock.patch.multiple(
-        similarity, WORKSPACE_CELLS=data.draw(workspaces),
+        similarity, CHUNK_CELLS=data.draw(chunk_budgets),
         MIN_STEP_CELLS=data.draw(step_floors))
     return patched
 
@@ -337,17 +339,17 @@ def test_block_rows_equal_matrix_rows(louvre_space, zone_states, data):
         == hexed(matrix[start:end])
 
 
-def test_more_pairs_than_one_workspace_holds(louvre_space,
-                                             small_trajectories):
-    """The real workspace and more unique pairs than one batch of
-    the shortest bucket holds: still the per-pair values."""
+def test_more_pairs_than_one_chunk_holds(louvre_space,
+                                         small_trajectories):
+    """The real chunk budget and more unique pairs than one chunk of
+    the shortest pairs holds: still the per-pair values."""
     hierarchy = louvre_space.zone_hierarchy
     sequences = sorted({tuple(t.distinct_state_sequence())
                         for t in small_trajectories})
     sequences = [list(sequence) for sequence in sequences]
-    shortest_pair_cells = (4 + 1) ** 2 + 4 * 4 + 4  # grid, costs, step
+    shortest_pair_cells = 7 * 1 + 1 + 11  # diagonals, codes, scratch
     assert len(sequences) * (len(sequences) - 1) // 2 \
-        > similarity.WORKSPACE_CELLS // shortest_pair_cells
+        > similarity.CHUNK_CELLS // shortest_pair_cells
     matrix = similarity_matrix(hierarchy, sequences)
     for i in range(0, len(sequences), 7):
         for j in range(len(sequences)):
@@ -358,8 +360,8 @@ def test_more_pairs_than_one_workspace_holds(louvre_space,
 
 def test_long_sequence_among_short_ones(louvre_space, zone_states):
     """A 2,000-state sequence beside short ones: the values are still
-    the per-pair DP's, and memory stays near the fixed workspace (a
-    grid padded to the longest length would take ~64 MB here)."""
+    the per-pair DP's, and memory stays within 1 MB (a grid padded to
+    the longest length would take ~64 MB here)."""
     hierarchy = louvre_space.zone_hierarchy
     rng = random.Random(7)
     sequences = [[rng.choice(zone_states) for _ in range(length)]
@@ -370,12 +372,28 @@ def test_long_sequence_among_short_ones(louvre_space, zone_states):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * similarity.WORKSPACE_CELLS
+    assert peak < 1_048_576
     for i, a in enumerate(sequences):
         for j, b in enumerate(sequences):
             if i != j:
                 assert matrix[i][j].hex() \
                     == hierarchy_similarity(hierarchy, a, b).hex()
+
+
+def test_long_short_pair_goes_to_the_scalar_dp(louvre_space,
+                                               zone_states):
+    """One long sequence beside one state updates one cell per
+    anti-diagonal step: the scalar DP scores it, in either order."""
+    hierarchy = louvre_space.zone_hierarchy
+    rng = random.Random(11)
+    long = [rng.choice(zone_states) for _ in range(2000)]
+    with mock.patch.object(similarity, "_rolling_chunk",
+                           side_effect=AssertionError("batched")):
+        for sequences in ([long, zone_states[:1]],
+                          [zone_states[:1], long]):
+            matrix = similarity_matrix(hierarchy, sequences)
+            assert matrix[0][1].hex() == matrix[1][0].hex() \
+                == hierarchy_similarity(hierarchy, *sequences).hex()
 
 
 def test_tiny_inputs():

@@ -10,7 +10,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.annotations import AnnotationSet
 from repro.mining.flow import FlowBalance
@@ -254,6 +254,50 @@ def test_property_cursor_roundtrip(payload):
     token = P.encode_cursor(payload)
     assert token.isascii() and "=" not in token
     assert P.decode_cursor(token) == payload
+
+
+# ----------------------------------------------------------------------
+# matrix encoding
+# ----------------------------------------------------------------------
+#: Floats whose spelling is special or sits on a repr boundary.
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+               5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+               1e-5, 0.0001, 1e22, 0.1, 1.0, 2.0 / 3.0]
+matrix_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+#: A parsed reply may hold ints and bools where floats were sent.
+matrix_entries = st.one_of(matrix_floats, st.integers(), st.booleans())
+
+
+def matrices(entries):
+    """Ragged matrices, often drawn from a small pool so values
+    repeat (as similarity matrices' do), empty ones and empty rows
+    included."""
+    pooled = st.lists(entries, min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(st.lists(st.sampled_from(pool),
+                                       max_size=9), max_size=9))
+    return st.one_of(pooled,
+                     st.lists(st.lists(entries, max_size=6), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(matrix_floats), matrices(matrix_entries)))
+@example([])
+@example([[]])
+@example([[], []])
+@example([[0.0, -0.0], [-0.0, 0.0]])
+@example([[float("nan"), float("inf"), float("-inf"), 5e-324]])
+@example([[1, 1.0, True], [False, 0, 0.0, -0.0]])
+def test_matrix_json_is_canonical_json(matrix):
+    assert P.matrix_json(matrix) == P.canonical_json(matrix)
+    for reply in (P.SimilarityMatrix(matrix=matrix),
+                  P.SimilarityRows(rows=matrix)):
+        assert reply.to_json() == P.canonical_json(reply.to_dict())
+
+
+def test_matrix_json_passes_other_shapes_through():
+    for value in (None, 1.5, "x", [1.5], [[1.5], 2.5], ([1.5],),
+                  [[1.5], (2.5,)], {"a": [[1.0]]}):
+        assert P.matrix_json(value) == P.canonical_json(value)
 
 
 # ----------------------------------------------------------------------

@@ -52,6 +52,7 @@ def assert_bounded(segmenter: WatermarkSegmenter) -> None:
         assert mo_id in open_visitors or end >= segmenter.watermark, (
             mo_id, end, segmenter.watermark)
     assert set(segmenter._last_key) <= set(segmenter._last_end)
+    assert set(segmenter._last_start) <= set(segmenter._last_end)
 
 
 def episode_bytes(episodes):
@@ -258,6 +259,7 @@ class TestOldSidecars:
             folded = json.load(source)["segmenter"]
         assert not gone & set(folded["last_end"])
         assert not gone & set(folded["last_key"])
+        assert not gone & set(folded["last_start"])
         assert_bounded(recovered.segmenter)
         for event, watermark in zip(events[50:], watermarks[50:]):
             recovered.append([event], watermark=watermark)
