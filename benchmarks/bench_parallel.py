@@ -3,7 +3,8 @@ optimization sweep, with a persisted baseline.
 
 Run as a script (not under pytest-benchmark): it measures
 
-* the full-corpus build serial vs parallel (4 thread workers) — the
+* the full-corpus build (contiguity segmentation) serial vs parallel
+  (4 thread workers), and serial in the exact mode — the
   CPU-bound speedup is hardware-honest (≈1× under a GIL on one core,
   scaling with cores otherwise), so it is *recorded* but not
   regression-checked;
@@ -195,10 +196,11 @@ def run_benchmarks(smoke: bool, workers: int) -> Dict[str, object]:
 
     def build(pipeline_workers: int, executor: str = "thread",
               timing: bool = True, cache: StageCache = None,
-              extra: List[MapStage] = ()) -> Pipeline:
+              extra: List[MapStage] = (),
+              streaming: bool = True) -> Pipeline:
         builder = TrajectoryBuilder(space.dataset_zone_nrg())
         pipeline = Pipeline(
-            builder.stages(streaming=True) + list(extra)
+            builder.stages(streaming=streaming) + list(extra)
             + [StoreSinkStage()],
             batch_size=256, workers=pipeline_workers,
             executor=executor, timing=timing, cache=cache)
@@ -211,6 +213,10 @@ def run_benchmarks(smoke: bool, workers: int) -> Dict[str, object]:
 
     # -- CPU-bound build: serial vs parallel (hardware-honest) --------
     metrics["build_serial_s"] = _best(lambda: build(0), repeats)
+    # the exact segmentation mode (one sort of the whole corpus),
+    # timed the same way; informational, like the serial time
+    metrics["build_exact_s"] = _best(lambda: build(0, streaming=False),
+                                     repeats)
     metrics["build_parallel_thread_s"] = _best(
         lambda: build(workers), repeats)
     speedups["parallel_cpu"] = (metrics["build_serial_s"]

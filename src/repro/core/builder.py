@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -36,7 +37,12 @@ from typing import (
 )
 
 from repro.core.annotations import AnnotationSet
-from repro.core.trajectory import SemanticTrajectory, Trace, TraceEntry
+from repro.core.trajectory import (
+    DETECTION_OVERLAP_TOLERANCE,
+    SemanticTrajectory,
+    Trace,
+    TraceEntry,
+)
 from repro.indoor.nrg import NodeRelationGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,6 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: worth surfacing ("the accessibility topology ... can therefore also
 #: assist in filtering out data errors" — Section 4.2).
 UNOBSERVED_TRANSITION_PREFIX = "unobserved:"
+
+#: Revision of the construction rules (:class:`VisitAssembler`).  It is
+#: part of :meth:`TrajectoryBuilder.config_fingerprint`, so a stage
+#: cache entry built under older rules misses instead of replaying
+#: their output; bump it whenever a rule change can alter a build.
+CONSTRUCTION_RULES_REVISION = 2
 
 
 @dataclass(frozen=True)
@@ -142,6 +154,116 @@ class TraceDraft:
     unobserved_transitions: int = 0
 
 
+#: One open visit's key: the visitor plus its (optional) visit id.
+BufferKey = Tuple[str, Optional[str]]
+
+
+class VisitAssembler:
+    """The trajectory-construction rules, as one per-visitor state
+    machine: both modes of the ``segment`` stage and the stream
+    segmenter build their visits through it.
+
+    Kept records are pushed one at a time, each visitor's in
+    ``(t_start, t_end)`` order, and pass three rules in turn:
+
+    1. **order** — a record sorting before its visitor's previous one
+       is dropped as ``out_of_order``;
+    2. **overlap repair** — duplicate uploads and sensor echoes: a
+       record starting before its visitor's latest end, minus the
+       sensing overlap the model tolerates, is dropped as
+       ``overlap_contained`` when it ends by then, else clipped to
+       start there (``overlap_clipped``).  A clip moves a start past
+       the next record's, so a clipped start is a second floor, with
+       the same drop-or-clip rule;
+    3. **gap split** — records group into open visits keyed ``(mo_id,
+       visit_id)``; an id-less record starting more than the gap after
+       its visit's last record closes that visit and opens the next.
+
+    The repair state is per visitor and spans its visits.
+
+    Args:
+        gap_seconds: the inactivity gap splitting id-less visits.
+        report: called with the reason key of every drop and with
+            ``overlap_clipped`` for every clip.
+    """
+
+    def __init__(self, gap_seconds: float,
+                 report: Callable[[str], None]) -> None:
+        self.gap_seconds = gap_seconds
+        self.report = report
+        #: open visits: ``(mo_id, visit_id) -> records`` in order.
+        self._buffers: Dict[BufferKey, List[DetectionRecord]] = {}
+        #: per visitor: the latest end of its accepted records.
+        self._last_end: Dict[str, float] = {}
+        #: per visitor: its last accepted start, held only when a clip
+        #: moved it (an unclipped start is no floor for the next one).
+        self._last_start: Dict[str, float] = {}
+        #: per visitor: the order key of its last record.
+        self._last_key: Dict[str, Tuple[float, float]] = {}
+
+    def push(self, record: DetectionRecord
+             ) -> Optional[Sequence[DetectionRecord]]:
+        """Apply the rules to one kept record.
+
+        Returns ``None`` when the record was dropped, else the visit
+        its gap split closed, or an empty tuple.
+        """
+        mo_id = record.mo_id
+        order_key = (record.t_start, record.t_end)
+        previous_key = self._last_key.get(mo_id)
+        if previous_key is not None and order_key < previous_key:
+            # A sorted batch never has one.  In a stream, splicing it
+            # in could rewrite an episode that may already be emitted.
+            self.report("out_of_order")
+            return None
+        self._last_key[mo_id] = order_key
+        start = record.t_start
+        previous_end = self._last_end.get(mo_id)
+        if previous_end is not None \
+                and start < previous_end - DETECTION_OVERLAP_TOLERANCE:
+            if record.t_end <= previous_end:
+                self.report("overlap_contained")
+                return None
+            record = DetectionRecord(
+                mo_id, record.state, previous_end, record.t_end,
+                record.visit_id, record.attributes)
+            self.report("overlap_clipped")
+        floor = self._last_start.get(mo_id)
+        if floor is not None and record.t_start < floor:
+            if record.t_end <= floor:
+                self.report("overlap_contained")
+                return None
+            record = DetectionRecord(
+                mo_id, record.state, floor, record.t_end,
+                record.visit_id, record.attributes)
+            self.report("overlap_clipped")
+        key = (mo_id, record.visit_id)
+        buffer = self._buffers.get(key)
+        closed: Sequence[DetectionRecord] = ()
+        if buffer is not None and record.visit_id is None \
+                and record.t_start - buffer[-1].t_end > self.gap_seconds:
+            # popped, not overwritten: the next visit opens last
+            closed = self._buffers.pop(key)
+            buffer = None
+        if buffer is None:
+            buffer = self._buffers[key] = []
+        buffer.append(record)
+        if record.t_start != start:
+            self._last_start[mo_id] = record.t_start
+        elif floor is not None:
+            del self._last_start[mo_id]
+        if previous_end is None or record.t_end >= previous_end:
+            self._last_end[mo_id] = record.t_end
+        return closed
+
+    def drain(self) -> List[List[DetectionRecord]]:
+        """Close every open visit; returns them in the order they
+        opened.  The repair state is kept."""
+        visits = list(self._buffers.values())
+        self._buffers = {}
+        return visits
+
+
 class TrajectoryBuilder:
     """Builds semantic trajectories from raw detection records.
 
@@ -175,9 +297,10 @@ class TrajectoryBuilder:
     def config_fingerprint(self) -> str:
         """A stable digest of everything that shapes the build output.
 
-        Covers the NRG's node/edge structure and every builder knob,
-        so the pipeline stage cache can prove two builds equivalent
-        (see :mod:`repro.pipeline.cache`).
+        Covers the revision of the construction rules, the NRG's
+        node/edge structure and every builder knob, so the pipeline
+        stage cache can prove two builds equivalent (see
+        :mod:`repro.pipeline.cache`).
         """
         from repro.pipeline.cache import fingerprint_of
 
@@ -185,8 +308,9 @@ class TrajectoryBuilder:
                        for edge in self.nrg.edges)
         annotations = sorted(repr(a) for a in self.default_annotations)
         return fingerprint_of(
-            "trajectory-builder", sorted(self.nrg.nodes), edges,
-            annotations, self.visit_gap_seconds, self.min_duration,
+            "trajectory-builder", CONSTRUCTION_RULES_REVISION,
+            sorted(self.nrg.nodes), edges, annotations,
+            self.visit_gap_seconds, self.min_duration,
             self.drop_unknown_states)
 
     # ------------------------------------------------------------------
@@ -205,105 +329,6 @@ class TrajectoryBuilder:
         if self.drop_unknown_states and record.state not in self.nrg:
             return "unknown_state"
         return None
-
-    def clean(self, records: Iterable[DetectionRecord]
-              ) -> Tuple[List[DetectionRecord], CleaningReport]:
-        """Filter error records; returns survivors sorted by (mo, time)."""
-        report = CleaningReport()
-        kept: List[DetectionRecord] = []
-        for record in records:
-            report.total += 1
-            reason = self.classify_record(record)
-            if reason == "negative_duration":
-                report.dropped_negative_duration += 1
-            elif reason == "zero_duration":
-                report.dropped_zero_duration += 1
-            elif reason == "unknown_state":
-                report.dropped_unknown_state += 1
-            else:
-                kept.append(record)
-        kept.sort(key=lambda r: (r.mo_id, r.t_start, r.t_end))
-        kept = self._resolve_overlaps(kept, report)
-        report.kept = len(kept)
-        return kept, report
-
-    def _resolve_overlaps(self, records: List[DetectionRecord],
-                          report: CleaningReport
-                          ) -> List[DetectionRecord]:
-        """Repair same-object records overlapping beyond the tolerance.
-
-        Real feeds contain duplicate uploads and sensor echoes; a
-        record starting before its predecessor's end (minus the
-        bounded sensing overlap the model tolerates) is either fully
-        contained — dropped — or clipped to start where the
-        predecessor ended.  The last accepted start is a second
-        floor, since a clip moves a start later than the next
-        record's: a record starting before it is clipped to it, or
-        dropped when it ends by then.
-        """
-        from repro.core.trajectory import DETECTION_OVERLAP_TOLERANCE
-
-        resolved: List[DetectionRecord] = []
-        last_end: Dict[str, float] = {}
-        last_start: Dict[str, float] = {}
-        for record in records:
-            previous_end = last_end.get(record.mo_id)
-            if previous_end is not None and record.t_start \
-                    < previous_end - DETECTION_OVERLAP_TOLERANCE:
-                if record.t_end <= previous_end:
-                    report.dropped_contained += 1
-                    continue
-                record = DetectionRecord(
-                    record.mo_id, record.state, previous_end,
-                    record.t_end, record.visit_id, record.attributes)
-                report.clipped_overlaps += 1
-            floor = last_start.get(record.mo_id)
-            if floor is not None and record.t_start < floor:
-                if record.t_end <= floor:
-                    report.dropped_contained += 1
-                    continue
-                record = DetectionRecord(
-                    record.mo_id, record.state, floor, record.t_end,
-                    record.visit_id, record.attributes)
-                report.clipped_overlaps += 1
-            resolved.append(record)
-            last_start[record.mo_id] = record.t_start
-            last_end[record.mo_id] = max(record.t_end,
-                                         previous_end or record.t_end)
-        return resolved
-
-    # ------------------------------------------------------------------
-    # stage 2: visit segmentation
-    # ------------------------------------------------------------------
-    def split_visits(self, records: Sequence[DetectionRecord]
-                     ) -> List[List[DetectionRecord]]:
-        """Group cleaned records into visits.
-
-        Records with a ``visit_id`` group by ``(mo_id, visit_id)``;
-        records without group by ``mo_id`` and split on the inactivity
-        gap.  Input must be sorted (as :meth:`clean` returns it).
-        """
-        with_id: Dict[Tuple[str, str], List[DetectionRecord]] = {}
-        without_id: Dict[str, List[DetectionRecord]] = {}
-        for record in records:
-            if record.visit_id is not None:
-                with_id.setdefault((record.mo_id, record.visit_id),
-                                   []).append(record)
-            else:
-                without_id.setdefault(record.mo_id, []).append(record)
-        visits: List[List[DetectionRecord]] = list(with_id.values())
-        for mo_records in without_id.values():
-            current: List[DetectionRecord] = []
-            for record in mo_records:
-                if current and (record.t_start - current[-1].t_end
-                                > self.visit_gap_seconds):
-                    visits.append(current)
-                    current = []
-                current.append(record)
-            if current:
-                visits.append(current)
-        visits.sort(key=lambda v: (v[0].mo_id, v[0].t_start))
-        return visits
 
     # ------------------------------------------------------------------
     # stage 3+4: trace construction and annotation

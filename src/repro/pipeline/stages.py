@@ -3,10 +3,12 @@
 Builder stages (``clean`` → ``segment`` → ``trace`` → ``annotate``)
 are the four natural phases of :class:`~repro.core.builder
 .TrajectoryBuilder` exposed as composable pipeline stages — they reuse
-the builder's primitives, so the facade and the engine cannot drift
-apart.  Storage and mining stages turn the store and the sequential
-miners into sinks/transforms, so one pipeline covers the paper's whole
-ingest → build → store → mine chain.
+the builder's primitives and its one construction core
+(:class:`~repro.core.builder.VisitAssembler`), so the facade, the
+engine and the stream segmenter cannot drift apart.  Storage and
+mining stages turn the store and the sequential miners into
+sinks/transforms, so one pipeline covers the paper's whole ingest →
+build → store → mine chain.
 
 Every stage here registers itself in :mod:`repro.pipeline.registry`
 under the name given by its ``name`` attribute.
@@ -14,12 +16,12 @@ under the name given by its ``name`` attribute.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.builder import (
-    CleaningReport,
     DetectionRecord,
     TrajectoryBuilder,
+    VisitAssembler,
 )
 from repro.pipeline.cache import fingerprint_of
 from repro.pipeline.engine import Stage
@@ -132,21 +134,24 @@ class CleanStage(Stage):
 class SegmentStage(Stage):
     """Stage 2 — repair overlaps and group records into visits.
 
-    Emits one item per visit (a list of records).  Two modes:
+    Emits one item per visit (a list of records), assembled by the
+    builder's one construction core,
+    :class:`~repro.core.builder.VisitAssembler`, fed records in
+    ``(mo_id, t_start, t_end)`` order.  Two modes:
 
-    * **exact** (default): buffers all cleaned records and flushes at
-      end of stream with exactly the legacy semantics — global
-      ``(mo, t_start, t_end)`` sort, cross-visit overlap repair per
-      moving object, visits ordered by ``(mo, t_start)``.  Output is
-      bit-identical to ``TrajectoryBuilder.clean`` + ``split_visits``;
-      memory is O(corpus) in this stage only.
+    * **exact** (default): buffers all cleaned records and feeds them
+      to one assembler at end of stream, so overlap repair spans each
+      moving object's visits.  Visits come out ordered by ``(mo_id,
+      first t_start)``, a ``visit_id`` visit before an id-less one
+      starting with it.  Memory is O(corpus) in this stage only.
     * **streaming**: assumes records arrive *contiguously* per
       ``(mo_id, visit_id)`` key (as the Louvre generator and CSV dumps
       of it produce them — batch boundaries may still split a visit
-      anywhere).  A visit is flushed as soon as a record with a
+      anywhere).  A group is flushed as soon as a record with a
       different key arrives, so memory is O(longest visit) and visits
-      come out in stream order.  Overlap repair then only sees one
-      group at a time.
+      come out in stream order.  Each group is assembled with fresh
+      repair state: a record overlapping the previous group's records
+      keeps its times, where the exact mode would clip or drop it.
     """
 
     name = "segment"
@@ -156,9 +161,8 @@ class SegmentStage(Stage):
         super().__init__()
         self.builder = builder
         self.streaming = streaming
-        self._buffer: List[DetectionRecord] = []
-        self._open_key: Optional[Tuple[str, Optional[str]]] = None
-        self._open: List[DetectionRecord] = []
+        #: every cleaned record (exact), or the open group (streaming).
+        self._records: List[DetectionRecord] = []
 
     def config_fingerprint(self) -> str:
         return fingerprint_of("segment",
@@ -168,50 +172,52 @@ class SegmentStage(Stage):
     def process(self, batch: Sequence[DetectionRecord]
                 ) -> List[List[DetectionRecord]]:
         if not self.streaming:
-            self._buffer.extend(batch)
+            self._records.extend(batch)
             return []
         visits: List[List[DetectionRecord]] = []
         for record in batch:
-            key = (record.mo_id, record.visit_id)
-            if self._open and key != self._open_key:
-                visits.extend(self._flush_open())
-            self._open_key = key
-            self._open.append(record)
+            group = self._records
+            if group and (record.mo_id != group[-1].mo_id
+                          or record.visit_id != group[-1].visit_id):
+                visits.extend(self._assemble(group))
+                self._records = []
+            self._records.append(record)
         return visits
 
     def finish(self) -> List[List[DetectionRecord]]:
-        if self.streaming:
-            return self._flush_open()
-        records, self._buffer = self._buffer, []
+        records, self._records = self._records, []
+        visits = self._assemble(records)
+        if not self.streaming:
+            # Builds have always put a visit_id visit before an
+            # id-less one with the same first start, which opens first
+            # when its first record ends first; other ties keep the
+            # opening order.
+            visits.sort(key=lambda visit: (visit[0].mo_id,
+                                           visit[0].t_start,
+                                           visit[0].visit_id is None))
+        return visits
+
+    def _assemble(self, records: List[DetectionRecord]
+                  ) -> List[List[DetectionRecord]]:
+        """The visits a fresh assembler makes of ``records``, in the
+        order they close."""
         records.sort(key=lambda r: (r.mo_id, r.t_start, r.t_end))
-        records = self._repair(records)
-        return self.builder.split_visits(records)
+        assembler = VisitAssembler(self.builder.visit_gap_seconds,
+                                   self._report)
+        visits: List[List[DetectionRecord]] = []
+        for record in records:
+            closed = assembler.push(record)
+            if closed:
+                visits.append(closed)
+        visits.extend(assembler.drain())
+        return visits
 
-    def _flush_open(self) -> List[List[DetectionRecord]]:
-        group, self._open = self._open, []
-        self._open_key = None
-        if not group:
-            return []
-        group.sort(key=lambda r: (r.t_start, r.t_end))
-        group = self._repair(group)
-        if not group:
-            return []
-        if group[0].visit_id is not None:
-            return [group]
-        return self.builder.split_visits(group)
-
-    def _repair(self, records: List[DetectionRecord]
-                ) -> List[DetectionRecord]:
-        """Overlap repair via the builder, mirrored into metrics."""
-        report = CleaningReport()
-        repaired = self.builder._resolve_overlaps(records, report)
-        if report.dropped_contained:
-            self.metrics.drop("overlap_contained",
-                              report.dropped_contained)
-        if report.clipped_overlaps:
-            self.metrics.count("overlap_clipped",
-                               report.clipped_overlaps)
-        return repaired
+    def _report(self, reason: str) -> None:
+        """Mirror the assembler's drops and clips into the metrics."""
+        if reason == "overlap_clipped":
+            self.metrics.count(reason)
+        else:
+            self.metrics.drop(reason)
 
 
 @register_stage("trace")

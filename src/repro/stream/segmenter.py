@@ -46,11 +46,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.builder import DetectionRecord, TrajectoryBuilder
-from repro.core.trajectory import (
-    DETECTION_OVERLAP_TOLERANCE,
-    SemanticTrajectory,
+from repro.core.builder import (
+    BufferKey,
+    DetectionRecord,
+    TrajectoryBuilder,
+    VisitAssembler,
 )
+from repro.core.trajectory import SemanticTrajectory
 from repro.service.protocol import canonical_json, splice_json
 
 #: The watermark before any ``advance()`` — every event is on time.
@@ -180,45 +182,35 @@ class StreamMetrics:
         )
 
 
-#: One open episode's key: the visitor plus its (optional) visit id.
-BufferKey = Tuple[str, Optional[str]]
-
-
-class WatermarkSegmenter:
+class WatermarkSegmenter(VisitAssembler):
     """Segments an interleaved event stream into semantic trajectories.
 
     Args:
         builder: the batch builder whose semantics (cleaning rules,
-            overlap tolerance, NRG, annotations, gap) this stream must
-            reproduce byte-identically.
+            NRG, annotations, gap) this stream must reproduce
+            byte-identically.
         gap_seconds: override of the builder's inactivity gap.
 
-    Events enter through :meth:`feed`; the watermark advances through
-    :meth:`advance`; both return the episodes they closed.
-    :meth:`close` flushes everything still open (end of stream).
+    The order test, overlap repair and gap split are the builder's
+    own construction core, which this class extends with the
+    watermark.  Events enter through :meth:`feed`; the watermark
+    advances through :meth:`advance`; both return the episodes they
+    closed.  :meth:`close` flushes everything still open (end of
+    stream).  The inherited :meth:`push` and :meth:`drain` are not
+    entry points: they skip cleaning, the watermark and the checkpoint
+    bookkeeping.
     """
 
     def __init__(self, builder: TrajectoryBuilder,
                  gap_seconds: Optional[float] = None) -> None:
+        super().__init__(builder.visit_gap_seconds
+                         if gap_seconds is None else gap_seconds,
+                         self._report)
         self.builder = builder
-        self.gap_seconds = (builder.visit_gap_seconds
-                            if gap_seconds is None else gap_seconds)
         self.watermark = NO_WATERMARK
         self.metrics = StreamMetrics()
-        #: open episodes: ``(mo_id, visit_id) -> records`` in order.
-        self._buffers: Dict[BufferKey, List[DetectionRecord]] = {}
         #: the records in ``_buffers``, kept at every change to it.
         self._open_events = 0
-        #: per-visitor repair state — carried *across* episodes,
-        #: exactly like the batch ``_resolve_overlaps`` last_end and
-        #: last_start maps.  ``_last_start`` holds only visitors whose
-        #: last accepted event was clipped: events arrive in order, so
-        #: an unclipped start is no floor for the next one.
-        self._last_end: Dict[str, float] = {}
-        self._last_start: Dict[str, float] = {}
-        #: per-visitor sort-order key of the last accepted event, for
-        #: detecting out-of-order arrivals (batch sorts globally).
-        self._last_key: Dict[str, Tuple[float, float]] = {}
         #: per open buffer, ``(records encoded, the buffer's
         #: canonical checkpoint entry)`` as of the last
         #: :meth:`state_json`: a buffer only grows at its end and
@@ -258,11 +250,9 @@ class WatermarkSegmenter:
         if reason is not None:
             metrics.drop(reason)
             return []
-        key: BufferKey = (record.mo_id, record.visit_id)
-        buffer = self._buffers.get(key)
         if record.t_start < self.watermark:
             metrics.late_events += 1
-            if buffer is None:
+            if (record.mo_id, record.visit_id) not in self._buffers:
                 # Late with no open episode to extend: its episode
                 # (if it had one) closed when the watermark passed.
                 # Checked before the order test, whose repair state
@@ -270,55 +260,21 @@ class WatermarkSegmenter:
                 metrics.drop("late")
                 metrics.dropped_late += 1
                 return []
-        order_key = (record.t_start, record.t_end)
-        previous_key = self._last_key.get(record.mo_id)
-        if previous_key is not None and order_key < previous_key:
-            # Behind an event this visitor already produced: the batch
-            # sort would have placed it earlier, so splicing it in now
-            # could rewrite an episode that may already be emitted.
-            metrics.drop("out_of_order")
-            metrics.dropped_late += 1
+        closed = self.push(record)
+        if closed is None:
             return []
-        self._last_key[record.mo_id] = order_key
-        start = record.t_start
-        previous_end = self._last_end.get(record.mo_id)
-        if previous_end is not None and record.t_start \
-                < previous_end - DETECTION_OVERLAP_TOLERANCE:
-            if record.t_end <= previous_end:
-                metrics.drop("overlap_contained")
-                return []
-            record = DetectionRecord(
-                record.mo_id, record.state, previous_end,
-                record.t_end, record.visit_id, record.attributes)
-            metrics.overlap_clipped += 1
-        floor = self._last_start.get(record.mo_id)
-        if floor is not None and record.t_start < floor:
-            if record.t_end <= floor:
-                metrics.drop("overlap_contained")
-                return []
-            record = DetectionRecord(
-                record.mo_id, record.state, floor, record.t_end,
-                record.visit_id, record.attributes)
-            metrics.overlap_clipped += 1
-        closed: List[SemanticTrajectory] = []
-        if buffer is not None and record.visit_id is None \
-                and record.t_start - buffer[-1].t_end \
-                > self.gap_seconds:
-            closed.append(self._emit(key))
-            buffer = None
-        if buffer is None:
-            buffer = self._buffers.setdefault(key, [])
-        buffer.append(record)
         self._open_events += 1
-        if record.t_start == start:
-            self._last_start.pop(record.mo_id, None)
-        else:
-            self._last_start[record.mo_id] = record.t_start
-        self._last_end[record.mo_id] = max(
-            record.t_end,
-            previous_end if previous_end is not None else record.t_end)
         metrics.accepted += 1
-        return closed
+        return [self._emit(closed)] if closed else []
+
+    def _report(self, reason: str) -> None:
+        """Count a drop or clip of the construction rules."""
+        if reason == "overlap_clipped":
+            self.metrics.overlap_clipped += 1
+            return
+        self.metrics.drop(reason)
+        if reason == "out_of_order":
+            self.metrics.dropped_late += 1
 
     def advance(self, watermark: float) -> List[SemanticTrajectory]:
         """Advance the watermark; returns the episodes it closed.
@@ -336,18 +292,19 @@ class WatermarkSegmenter:
                     if watermark - records[-1].t_end > self.gap_seconds]
         closable.sort(key=lambda key: (key[0],
                                        self._buffers[key][0].t_start))
-        closed = [self._emit(key) for key in closable]
+        closed = [self._emit(self._buffers.pop(key)) for key in closable]
         self._forget()
         return closed
 
     def close(self) -> List[SemanticTrajectory]:
         """End of stream: flush every open episode."""
-        return [self._emit(key) for key, _ in self._ordered_buffers()]
+        return [self._emit(self._buffers.pop(key))
+                for key, _ in self._ordered_buffers()]
 
-    def _emit(self, key: BufferKey) -> SemanticTrajectory:
-        records = self._buffers.pop(key)
+    def _emit(self, records: List[DetectionRecord]) -> SemanticTrajectory:
+        """The episode of a buffer just closed."""
         self._open_events -= len(records)
-        self._encoded.pop(key, None)
+        self._encoded.pop((records[0].mo_id, records[0].visit_id), None)
         draft = self.builder.construct_trace(records)
         self.metrics.episodes += 1
         return self.builder.annotate(draft)

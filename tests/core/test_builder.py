@@ -29,58 +29,72 @@ def rec(mo, state, start, end, visit=None):
     return DetectionRecord(mo, state, start, end, visit)
 
 
+def build(builder, records):
+    """``build_all``'s trajectories and its cleaning report."""
+    trajectories, report = builder.build_all(records)
+    return trajectories, report.cleaning
+
+
+def spans(trajectories):
+    """Every built entry's ``(t_start, t_end)``, in build order."""
+    return [(entry.t_start, entry.t_end)
+            for trajectory in trajectories for entry in trajectory.trace]
+
+
 class TestCleaning:
     def test_zero_duration_dropped(self, builder):
-        kept, report = builder.clean([
+        trajectories, report = build(builder, [
             rec("m", "a", 0, 0),
             rec("m", "a", 10, 20),
         ])
-        assert len(kept) == 1
+        assert spans(trajectories) == [(10, 20)]
+        assert report.kept == 1
         assert report.dropped_zero_duration == 1
         assert report.zero_duration_share == 0.5
 
     def test_negative_duration_dropped(self, builder):
-        _, report = builder.clean([rec("m", "a", 10, 5)])
+        _, report = build(builder, [rec("m", "a", 10, 5)])
         assert report.dropped_negative_duration == 1
         assert report.kept == 0
 
     def test_unknown_state_dropped(self, builder):
-        kept, report = builder.clean([rec("m", "ghost", 0, 10)])
-        assert kept == []
+        trajectories, report = build(builder, [rec("m", "ghost", 0, 10)])
+        assert trajectories == []
         assert report.dropped_unknown_state == 1
 
     def test_unknown_state_kept_when_configured(self, nrg):
         builder = TrajectoryBuilder(nrg, drop_unknown_states=False)
-        kept, _ = builder.clean([rec("m", "ghost", 0, 10)])
-        assert len(kept) == 1
+        trajectories, report = build(builder, [rec("m", "ghost", 0, 10)])
+        assert report.kept == 1
+        assert [e.state for e in trajectories[0].trace] == ["ghost"]
 
     def test_duplicate_record_dropped_as_contained(self, builder):
-        kept, report = builder.clean([
+        trajectories, report = build(builder, [
             rec("m", "a", 0, 100),
             rec("m", "a", 0, 100),   # exact duplicate upload
             rec("m", "a", 20, 80),   # fully contained echo
         ])
-        assert len(kept) == 1
+        assert spans(trajectories) == [(0, 100)]
+        assert report.kept == 1
         assert report.dropped_contained == 2
 
     def test_overlapping_record_clipped(self, builder):
-        kept, report = builder.clean([
+        trajectories, report = build(builder, [
             rec("m", "a", 0, 100),
             rec("m", "b", 50, 200),  # starts 50s early
         ])
         assert report.clipped_overlaps == 1
-        assert kept[1].t_start == 100
-        assert kept[1].t_end == 200
+        assert spans(trajectories) == [(0, 100), (100, 200)]
 
     def test_bounded_overlap_untouched(self, builder):
         """Overlaps within the sensing tolerance are a modelled
         phenomenon, not an error — they pass through unchanged."""
-        kept, report = builder.clean([
+        trajectories, report = build(builder, [
             rec("m", "a", 0, 100),
             rec("m", "b", 96, 200),
         ])
         assert report.clipped_overlaps == 0
-        assert kept[1].t_start == 96
+        assert spans(trajectories)[1] == (96, 200)
 
     def test_record_starting_before_a_clipped_start_is_clipped(
             self, builder):
@@ -89,67 +103,62 @@ class TestCleaning:
         order (these three records raised TraceValidationError)."""
         records = [rec("v0", "a", 0, 20), rec("v0", "a", 5, 25),
                    rec("v0", "a", 15, 23)]
-        kept, report = builder.clean(records)
-        assert [(r.t_start, r.t_end) for r in kept] \
-            == [(0, 20), (20, 25), (20, 23)]
-        assert report.clipped_overlaps == 2
-        trajectories, _ = builder.build_all(records)
+        trajectories, report = build(builder, records)
         assert len(trajectories) == 1
+        assert spans(trajectories) == [(0, 20), (20, 25), (20, 23)]
+        assert report.clipped_overlaps == 2
 
     def test_record_ending_by_a_clipped_start_is_dropped(self, builder):
         records = [rec("v0", "a", 0, 20), rec("v0", "a", 5, 25),
                    rec("v0", "b", 16, 19)]  # within the tolerance of 25
-        kept, report = builder.clean(records)
-        assert [(r.t_start, r.t_end) for r in kept] \
-            == [(0, 20), (20, 25)]
+        trajectories, report = build(builder, records)
+        assert len(trajectories) == 1
+        assert spans(trajectories) == [(0, 20), (20, 25)]
         assert report.dropped_contained == 1
         assert report.clipped_overlaps == 1
-        trajectories, _ = builder.build_all(records)
-        assert len(trajectories) == 1
 
     def test_different_mos_never_clipped(self, builder):
-        kept, report = builder.clean([
+        trajectories, report = build(builder, [
             rec("m1", "a", 0, 100),
             rec("m2", "b", 50, 200),
         ])
         assert report.clipped_overlaps == 0
-        assert len(kept) == 2
+        assert report.kept == 2
+        assert spans(trajectories) == [(0, 100), (50, 200)]
 
     def test_sorting(self, builder):
-        kept, _ = builder.clean([
+        trajectories, _ = build(builder, [
             rec("m2", "a", 0, 10),
             rec("m1", "b", 50, 60),
             rec("m1", "a", 0, 10),
         ])
-        assert [(r.mo_id, r.t_start) for r in kept] \
-            == [("m1", 0), ("m1", 50), ("m2", 0)]
+        assert [(t.mo_id, e.t_start) for t in trajectories
+                for e in t.trace] == [("m1", 0), ("m1", 50), ("m2", 0)]
 
 
 class TestVisitSplitting:
     def test_gap_splits_visits(self, builder):
-        records, _ = builder.clean([
+        visits, _ = build(builder, [
             rec("m", "a", 0, 100),
             rec("m", "b", 200, 300),
             rec("m", "a", 100_000, 100_100),
         ])
-        visits = builder.split_visits(records)
         assert len(visits) == 2
-        assert len(visits[0]) == 2
+        assert len(visits[0].trace) == 2
 
     def test_visit_id_grouping(self, builder):
-        records, _ = builder.clean([
+        visits, _ = build(builder, [
             rec("m", "a", 0, 100, visit="v1"),
             rec("m", "b", 200, 300, visit="v2"),
         ])
-        visits = builder.split_visits(records)
         assert len(visits) == 2
 
     def test_different_mos_never_merge(self, builder):
-        records, _ = builder.clean([
+        visits, _ = build(builder, [
             rec("m1", "a", 0, 100),
             rec("m2", "b", 100, 200),
         ])
-        assert len(builder.split_visits(records)) == 2
+        assert len(visits) == 2
 
 
 class TestBuild:

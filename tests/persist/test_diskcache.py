@@ -162,3 +162,31 @@ class TestEndToEnd:
         warm_bytes = build(warm)
         assert warm.disk_hits == 1
         assert warm_bytes == cold_bytes
+
+    def test_entry_built_under_older_construction_rules_misses(
+            self, tmp_path, monkeypatch):
+        """The builder fingerprint carries the rules revision, so a
+        build cached before a rule change is rebuilt, not replayed."""
+        from repro.api import Workbench
+        from repro.core import builder as builder_module
+        from repro.louvre.space import LouvreSpace
+        from repro.pipeline.sources import louvre_source
+
+        def build(cache):
+            workbench = Workbench(space=LouvreSpace())
+            workbench.build(
+                louvre_source(workbench.space, scale=0.01),
+                cache=cache)
+
+        revision = builder_module.CONSTRUCTION_RULES_REVISION
+        monkeypatch.setattr(builder_module,
+                            "CONSTRUCTION_RULES_REVISION", revision - 1)
+        build(DiskStageCache(str(tmp_path)))
+        assert [n for n in os.listdir(str(tmp_path))
+                if n.endswith(".json")]
+
+        monkeypatch.setattr(builder_module,
+                            "CONSTRUCTION_RULES_REVISION", revision)
+        current = DiskStageCache(str(tmp_path))
+        build(current)
+        assert current.disk_hits == 0

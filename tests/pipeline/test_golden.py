@@ -3,7 +3,8 @@
 The acceptance contract of the pipeline refactor: a `Pipeline` run
 over the full Louvre corpus produces byte-identical trajectories and
 store contents to the legacy chain (``clean`` → ``split_visits`` →
-``build_trajectory`` per visit → per-trajectory ``insert``).
+``build_trajectory`` per visit → per-trajectory ``insert``), kept as
+the test-side reference in ``tests/core/reference_build.py``.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from repro.core import TrajectoryBuilder
 from repro.louvre.dataset import DatasetParameters, LouvreDatasetGenerator
 from repro.pipeline import Pipeline, StoreSinkStage, louvre_source
 from repro.storage import TrajectoryStore
+from tests.core import reference_build
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +28,7 @@ def full_corpus(louvre_space):
 def legacy_result(louvre_space, full_corpus):
     """(trajectories, store) via the legacy hand-wired chain."""
     builder = TrajectoryBuilder(louvre_space.dataset_zone_nrg())
-    cleaned, _ = builder.clean(full_corpus)
-    trajectories = [builder.build_trajectory(visit)
-                    for visit in builder.split_visits(cleaned)]
+    trajectories, _ = reference_build.build(builder, full_corpus)
     store = TrajectoryStore()
     for trajectory in trajectories:
         store.insert(trajectory)

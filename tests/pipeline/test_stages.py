@@ -1,6 +1,8 @@
 """Tests for the built-in stage catalog (builder, storage, mining)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DetectionRecord, TrajectoryBuilder
 from repro.pipeline import (
@@ -12,6 +14,8 @@ from repro.pipeline import (
     StoreSinkStage,
 )
 from repro.storage import TrajectoryStore, read_trajectories_jsonl
+from tests.core import reference_build
+from tests.stream.test_segmenter import make_builder
 
 
 @pytest.fixture()
@@ -41,12 +45,71 @@ class TestBuilderStages:
 
     def test_exact_matches_legacy_methods(self, builder, small_corpus):
         _, records = small_corpus
-        cleaned, _ = builder.clean(records)
-        expected = [builder.build_trajectory(v)
-                    for v in builder.split_visits(cleaned)]
+        expected, _ = reference_build.build(builder, records)
         built = Pipeline(builder.stages(), batch_size=97).run(records)
         assert [t.to_dict() for t in built] \
             == [t.to_dict() for t in expected]
+
+    def test_exact_mode_puts_a_visit_id_visit_first_on_a_tied_start(
+            self):
+        """The id-less visit opens first (its first record ends
+        first), yet builds have always ordered the ``visit_id`` visit
+        before it."""
+        builder = make_builder()
+        trajectories, _ = builder.build_all(
+            [rec("m", "a", 0.0, 1.0), rec("m", "b", 0.0, 5.0, visit="v1")])
+        assert [[(e.state, e.t_start, e.t_end) for e in t.trace]
+                for t in trajectories] \
+            == [[("b", 0.0, 5.0)], [("a", 0.0, 1.0)]]
+
+    def test_contiguity_mode_repairs_each_group_on_its_own(self):
+        """An overlap across two ``(mo_id, visit_id)`` groups is
+        clipped by the exact mode but kept by the contiguity mode,
+        whose repair state starts fresh with each group."""
+        builder = make_builder()
+        records = [rec("m", "a", 0.0, 100.0, visit="v1"),
+                   rec("m", "b", 50.0, 200.0, visit="v2")]
+
+        def spans(streaming):
+            built = Pipeline(builder.stages(streaming=streaming)
+                             ).run(records)
+            return [(e.t_start, e.t_end) for t in built for e in t.trace]
+
+        assert spans(False) == [(0.0, 100.0), (100.0, 200.0)]
+        assert spans(True) == [(0.0, 100.0), (50.0, 200.0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.builds(
+        lambda mo, state, start, length, visit: DetectionRecord(
+            mo, state, float(start), float(start + length), visit),
+        mo=st.sampled_from(["m1", "m2"]),
+        state=st.sampled_from(["a", "b", "c", "nowhere"]),
+        # a narrow clock against a 100 s gap: ties, overlaps,
+        # containment and gap splits are all common
+        start=st.integers(0, 400),
+        length=st.sampled_from([-5, 0, 1, 5, 8, 20, 60, 150]),
+        visit=st.sampled_from([None, None, "v1", "v2"])), max_size=30),
+        st.integers(min_value=1, max_value=8))
+    def test_both_modes_match_the_reference(self, records, batch_size):
+        builder = make_builder()
+        expected, counts = reference_build.build(builder, records)
+        built, report = builder.build_all(records, batch_size=batch_size)
+        assert [t.to_dict() for t in built] \
+            == [t.to_dict() for t in expected]
+        assert report.cleaning == counts
+
+        expected, counts = reference_build.build_contiguous(builder,
+                                                            records)
+        pipeline = Pipeline(builder.stages(streaming=True),
+                            batch_size=batch_size)
+        built = pipeline.run(records)
+        assert [t.to_dict() for t in built] \
+            == [t.to_dict() for t in expected]
+        segment = pipeline.metrics["segment"]
+        assert segment.drops.get("overlap_contained", 0) \
+            == counts.dropped_contained
+        assert segment.counters.get("overlap_clipped", 0) \
+            == counts.clipped_overlaps
 
     def test_batch_boundary_does_not_change_segmentation(self, builder):
         # One gap-segmented visit pair whose records straddle every

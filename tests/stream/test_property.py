@@ -6,7 +6,10 @@ and multi-gap silences), interleaves them arbitrarily across
 visitors, and replays them through :class:`WatermarkSegmenter` with
 an honest producer watermark — the emitted episodes must be
 byte-identical (as a content multiset under canonical JSON) to
-:meth:`TrajectoryBuilder.build_all` over the same records.
+:meth:`TrajectoryBuilder.build_all` over the same records.  The
+segmenter and ``build_all`` share one construction core, so every
+batch build is first held equal to the test-side reference
+(``tests/core/reference_build.py``), which shares none of it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.builder import DetectionRecord
 from repro.service.protocol import canonical_json
+from tests.core import reference_build
 from tests.stream.test_segmenter import (
     GAP,
     content_bytes,
@@ -28,6 +32,16 @@ from tests.stream.test_segmenter import (
 )
 
 STATES = ["a", "b", "c", "nowhere"]
+
+
+def reference_checked_build(builder, records):
+    """``build_all``'s trajectories, once they equal the reference's
+    in order and content."""
+    batch, _ = builder.build_all(records)
+    reference, _ = reference_build.build(builder, records)
+    assert [t.to_dict() for t in batch] \
+        == [t.to_dict() for t in reference]
+    return batch
 
 
 @st.composite
@@ -73,7 +87,7 @@ def test_any_interleaving_matches_batch(corpus):
     per_visitor, seed = corpus
     builder = make_builder()
     records = [r for records in per_visitor for r in records]
-    batch, _ = builder.build_all(records)
+    batch = reference_checked_build(builder, records)
     events = interleave(per_visitor, seed=seed)
     segmenter, streamed = stream_replay(builder, events, seed=seed)
     assert content_bytes(streamed) == content_bytes(batch)
@@ -88,7 +102,7 @@ def test_interleaving_without_watermarks_matches_batch(corpus):
     per_visitor, seed = corpus
     builder = make_builder()
     records = [r for records in per_visitor for r in records]
-    batch, _ = builder.build_all(records)
+    batch = reference_checked_build(builder, records)
     events = interleave(per_visitor, seed=seed)
     _, streamed = stream_replay(builder, events, watermarks=False,
                                 seed=seed)
@@ -140,7 +154,7 @@ def test_visit_id_interleaving_matches_batch(corpus):
     per_visitor, seed = corpus
     builder = make_builder()
     records = [r for records in per_visitor for r in records]
-    batch, _ = builder.build_all(records)
+    batch = reference_checked_build(builder, records)
     events = interleave(per_visitor, seed=seed)
     _, streamed = stream_replay(builder, events, seed=seed)
     assert content_bytes(streamed) == content_bytes(batch)
@@ -159,7 +173,7 @@ def test_resume_from_any_cut_matches_batch(corpus, cut_step):
     per_visitor, seed = corpus
     builder = make_builder()
     records = [r for records in per_visitor for r in records]
-    batch, _ = builder.build_all(records)
+    batch = reference_checked_build(builder, records)
     events = interleave(per_visitor, seed=seed)
     cut = min(len(events), cut_step)
 
