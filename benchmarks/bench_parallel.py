@@ -15,9 +15,12 @@ Run as a script (not under pytest-benchmark): it measures
 * a cached rebuild (inter-stage cache warm) vs a cold build;
 * ``similarity_matrix`` (the rolling anti-diagonal kernel over the
   hierarchy's memoized pair table) vs the seed's per-cell algorithm;
-* ``prefixspan`` (the level-wise numpy kernel over distinct sequences)
+* ``prefixspan`` (the level-wise numpy kernel over the store's
+  sequence column, as ``MinePatterns`` reads it: no per-call layout)
   vs the classic per-sequence recursive PrefixSpan, at the service's
   ``MinePatterns`` shape (support 2 %, patterns up to 4 long);
+* ``flow_balances`` (weighted bincounts over the store's sequence
+  column) vs the per-trajectory loop it replaced;
 * the ``IntervalIndex`` build (one stable argsort by start and a
   running maximum of ends) and the timing-off ``_push`` fast path
   (informational).
@@ -40,6 +43,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from repro.core import TrajectoryBuilder
 from repro.indoor.hierarchy import LayerHierarchy
 from repro.louvre.space import LouvreSpace
+from repro.mining.corpus import SequenceCorpus
+from repro.mining.flow import FlowBalance, flow_balances
 from repro.mining.prefixspan import prefixspan
 from repro.mining.similarity import similarity_matrix
 from repro.mining.sequences import state_sequences
@@ -183,6 +188,29 @@ def _naive_prefixspan(sequences: Sequence[Sequence[str]],
     return out
 
 
+def _naive_flow_balances(trajectories) -> List[FlowBalance]:
+    """Per-cell flow balances one trajectory at a time: counters of
+    starts, ends and moves over each distinct-state sequence."""
+    inflow: Dict[str, int] = {}
+    outflow: Dict[str, int] = {}
+    starts: Dict[str, int] = {}
+    ends: Dict[str, int] = {}
+    for trajectory in trajectories:
+        sequence = trajectory.distinct_states
+        starts[sequence[0]] = starts.get(sequence[0], 0) + 1
+        ends[sequence[-1]] = ends.get(sequence[-1], 0) + 1
+        for state in sequence:
+            inflow.setdefault(state, 0)
+            outflow.setdefault(state, 0)
+        for source, target in zip(sequence, sequence[1:]):
+            outflow[source] += 1
+            inflow[target] += 1
+    balances = [FlowBalance(state, inflow[state], outflow[state],
+                            starts.get(state, 0), ends.get(state, 0))
+                for state in inflow]
+    return sorted(balances, key=lambda b: (-abs(b.imbalance), b.state))
+
+
 def run_benchmarks(smoke: bool, workers: int) -> Dict[str, object]:
     scale = 0.25 if smoke else 1.0
     repeats = 3  # best-of-N damps scheduler noise, smoke included
@@ -261,18 +289,30 @@ def run_benchmarks(smoke: bool, workers: int) -> Dict[str, object]:
         "optimized similarity diverged from the reference"
 
     # -- prefixspan: level-wise kernel vs classic recursive miner ----
+    # The kernel reads the store's sequence column, caught up once as
+    # on a store's first mining read; the classic miner the lists.
     corpus = state_sequences(store)
+    column = SequenceCorpus.of(store)
     min_support = math.ceil(0.02 * len(corpus))
     metrics["prefixspan_naive_s"], metrics["prefixspan_optimized_s"] = \
         _best_alternating(
             lambda: _naive_prefixspan(corpus, min_support, 4),
-            lambda: prefixspan(corpus, min_support, 4), 10)
+            lambda: prefixspan(column, min_support, 4), 10)
     speedups["prefixspan"] = (metrics["prefixspan_naive_s"]
                               / metrics["prefixspan_optimized_s"])
     assert [(pattern.sequence, pattern.support) for pattern
-            in prefixspan(corpus, min_support, 4)] \
+            in prefixspan(column, min_support, 4)] \
         == _naive_prefixspan(corpus, min_support, 4), \
         "optimized prefixspan diverged from the reference"
+
+    # -- flow_balances: column bincounts vs the per-trajectory loop --
+    metrics["flow_naive_s"], metrics["flow_optimized_s"] = \
+        _best_alternating(lambda: _naive_flow_balances(store),
+                          lambda: flow_balances(store), 10)
+    speedups["flow"] = (metrics["flow_naive_s"]
+                        / metrics["flow_optimized_s"])
+    assert flow_balances(store) == _naive_flow_balances(store), \
+        "column flow balances diverged from the reference"
 
     # -- informational: interval build + timing-off fast path --------
     intervals = [Interval(float(i % 977), float(i % 977 + i % 53 + 1),
@@ -309,6 +349,7 @@ def run_benchmarks(smoke: bool, workers: int) -> Dict[str, object]:
             "records": len(records),
             "similarity_sequences": len(sequences),
             "prefixspan_sequences": len(corpus),
+            "flow_sequences": len(corpus),
             "provenance": louvre_provenance(scale),
             "python": sys.version.split()[0],
             "cpus": os.cpu_count(),

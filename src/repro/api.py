@@ -37,7 +37,7 @@ import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.builder import DetectionRecord, TrajectoryBuilder
-from repro.mining.corpus import Corpus, iter_trajectories
+from repro.mining.corpus import Corpus, SequenceCorpus, iter_trajectories
 from repro.mining.flow import FlowBalance, flow_balances
 from repro.mining.prefixspan import SequentialPattern
 from repro.mining.sequences import corpus_summary, state_sequences
@@ -417,7 +417,7 @@ class Workbench:
                                      max_length=max_length),
             "patterns",
             lambda: patterns_over(
-                state_sequences(self._corpus(corpus)),
+                SequenceCorpus.of(self._corpus(corpus)),
                 min_support, max_length))
 
     def similarity(self, corpus: Optional[Corpus] = None,
@@ -435,7 +435,7 @@ class Workbench:
         # An explicit hierarchy cannot cross the protocol (it derives
         # the hierarchy from the session's space) — direct path only.
         direct = lambda: similarity_over(  # noqa: E731
-            self.space, state_sequences(self._corpus(corpus)),
+            self.space, SequenceCorpus.of(self._corpus(corpus)),
             hierarchy)
         if hierarchy is not None:
             return direct()

@@ -19,8 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.timeutil import SECONDS_PER_DAY
-from repro.mining.corpus import Corpus, iter_trajectories
+from repro.mining.corpus import Corpus, SequenceCorpus, iter_trajectories
 from repro.storage.store import TrajectoryStore
 
 
@@ -79,24 +81,30 @@ class FlowBalance:
 
 
 def flow_balances(trajectories: Corpus) -> List[FlowBalance]:
-    """Per-cell flow balance, sorted by |imbalance| descending."""
-    inflow: Counter = Counter()
-    outflow: Counter = Counter()
-    starts: Counter = Counter()
-    ends: Counter = Counter()
-    states: set = set()
-    for trajectory in iter_trajectories(trajectories):
-        sequence = trajectory.distinct_states
-        states.update(sequence)
-        starts[sequence[0]] += 1
-        ends[sequence[-1]] += 1
-        for source, target in zip(sequence, sequence[1:]):
-            outflow[source] += 1
-            inflow[target] += 1
-    return merge_flow_balances([
-        [FlowBalance(state, inflow[state], outflow[state],
-                     starts[state], ends[state])
-         for state in states]])
+    """Per-cell flow balance, sorted by |imbalance| descending.
+
+    Three weighted ``np.bincount`` passes over the corpus's sequence
+    column (:class:`~repro.mining.corpus.SequenceCorpus`), each
+    distinct sequence weighted by its rows: every occurrence of a
+    cell is one outflow unless it ends its sequence, and one inflow
+    unless it starts it.
+    """
+    corpus = SequenceCorpus.of(trajectories)
+    column, counts = corpus.column, corpus.counts
+    width = len(column.alphabet)
+    weights = counts.astype(np.float64)
+    # A trajectory's trace, hence its sequence, is never empty.
+    started = np.bincount(column.codes[column.start], weights, width)
+    ended = np.bincount(column.codes[column.start + column.length - 1],
+                        weights, width)
+    visits = np.bincount(column.codes,
+                         np.repeat(weights, column.length), width)
+    present = np.flatnonzero(visits)
+    table = np.stack((visits - started, visits - ended, started,
+                      ended))[:, present].astype(np.int64)
+    return sorted(map(FlowBalance, map(column.alphabet.__getitem__,
+                                       present.tolist()),
+                      *table.tolist()), key=_imbalance_order)
 
 
 def merge_flow_balances(slices: Iterable[Iterable[FlowBalance]]
@@ -117,7 +125,11 @@ def merge_flow_balances(slices: Iterable[Iterable[FlowBalance]]
             counts[3] += balance.ended_here
     merged = [FlowBalance(state, *counts)
               for state, counts in totals.items()]
-    return sorted(merged, key=lambda b: (-abs(b.imbalance), b.state))
+    return sorted(merged, key=_imbalance_order)
+
+
+def _imbalance_order(balance: FlowBalance) -> Tuple[int, str]:
+    return -abs(balance.imbalance), balance.state
 
 
 def hourly_occupancy(trajectories: Corpus,

@@ -17,12 +17,17 @@ sequences.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, \
+    Tuple, Union
 
 import numpy as np
+
+from repro.mining.corpus import SequenceCorpus
+
+#: What the miners read: state sequences, one per trajectory, or a
+#: corpus's rows of a sequence column.
+Sequences = Union[Sequence[Sequence[str]], SequenceCorpus]
 
 
 @dataclass(frozen=True)
@@ -67,43 +72,34 @@ Level = Tuple[np.ndarray, np.ndarray]
 
 
 class _Database:
-    """A corpus's distinct sequences laid out flat for the kernel.
+    """A corpus's distinct sequences, laid out flat for the kernel.
 
-    The sequences collapse into ``Counter(map(tuple, sequences))`` (the
-    Louvre's 4,819 visits have 2,024 distinct sequences), each weighted
-    by its multiplicity, and the alphabet is coded as integers in
-    sorted order, so patterns come out exactly as over the raw input.
-    ``codes`` holds the distinct sequences back to back; per position,
-    ``end`` is where its sequence ends, ``weight`` the sequence's
-    multiplicity and ``previous`` the last position before it with the
-    same code (-1 if none).  Position ``p`` of a suffix starting at
-    ``offset`` is the first occurrence of its item in that suffix
-    exactly when ``previous[p] < offset``: an earlier occurrence in
-    another sequence lies before the suffix's own sequence.
+    The layout is the sequence column's
+    (:class:`~repro.storage.column.SequenceColumn`): every distinct
+    sequence of the column once, coded in sorted alphabet order, so
+    patterns come out exactly as over the raw input.  Per position,
+    ``codes`` is its item, ``end`` where its sequence ends,
+    ``previous`` the last earlier position of its sequence with the
+    same code (-1 if none) and ``weight`` its sequence's multiplicity
+    in the corpus (``np.bincount`` of the rows' sequence ids).
+    Position ``p`` of a suffix starting at ``offset`` is the first
+    occurrence of its item in that suffix exactly when ``previous[p] <
+    offset``.  Only sequences with rows in the corpus are rooted, so
+    the passes never touch the rest of the layout.
     """
 
-    def __init__(self, sequences: Sequence[Sequence[str]]) -> None:
-        counts = Counter(map(tuple, sequences))
-        items = list(chain.from_iterable(counts))
-        self.alphabet = sorted(set(items))
-        self.code_of = dict(zip(self.alphabet, range(len(self.alphabet))))
-        self.sequences = sum(counts.values())
-        self.codes = np.fromiter(map(self.code_of.__getitem__, items),
-                                 np.int32, len(items))
-        del items
-        order = np.argsort(self.codes, kind="stable").astype(np.int32)
-        self.previous = np.full(len(self.codes), -1, np.int32)
-        same = self.codes[order[1:]] == self.codes[order[:-1]]
-        self.previous[order[1:][same]] = order[:-1][same]
-        del order, same
-        lengths = np.fromiter(map(len, counts), np.int32, len(counts))
-        ends = np.cumsum(lengths, dtype=np.int32)
-        self.end = np.repeat(ends, lengths)
-        self.weight = np.repeat(
-            np.fromiter(counts.values(), np.float64, len(counts)), lengths)
-        starts = (ends - lengths)[lengths > 0]
-        #: The root level: every non-empty sequence, projected by the
-        #: empty pattern (node 0).
+    def __init__(self, corpus: SequenceCorpus) -> None:
+        column, counts = corpus.column, corpus.counts
+        self.alphabet = column.alphabet
+        self.code_of = column.code_of
+        self.sequences = len(corpus)
+        self.codes = column.codes
+        self.previous = column.previous
+        self.end = column.end
+        self.weight = np.repeat(counts.astype(np.float64), column.length)
+        starts = column.start[(counts > 0) & (column.length > 0)]
+        #: The root level: every non-empty sequence of the corpus,
+        #: projected by the empty pattern (node 0).
         self.root: Level = (np.zeros(len(starts), np.int32), starts)
 
     def project(self, level: Level, nodes: int) -> "_Pass":
@@ -177,8 +173,8 @@ class _Pass:
         return node[live], offset[live]
 
 
-def prefixspan(sequences: Sequence[Sequence[str]],
-               min_support: int,
+def prefixspan(sequences: Sequences,
+               min_support: Union[int, Callable[[int], int]],
                max_length: int = 6) -> List[SequentialPattern]:
     """Mine frequent sequential patterns.
 
@@ -187,9 +183,12 @@ def prefixspan(sequences: Sequence[Sequence[str]],
     order, and one projection pass finds the next level's.
 
     Args:
-        sequences: the symbolic state sequences (one per trajectory).
+        sequences: the symbolic state sequences (one per trajectory),
+            or a :class:`~repro.mining.corpus.SequenceCorpus`.
         min_support: minimum number of sequences a pattern must occur
-            in (absolute count).
+            in (absolute count), or a function mapping the number of
+            sequences to it (then an empty corpus mines nothing,
+            whatever the other arguments).
         max_length: maximum pattern length to explore.
 
     Returns:
@@ -198,11 +197,19 @@ def prefixspan(sequences: Sequence[Sequence[str]],
     Raises:
         ValueError: for ``min_support < 1`` or ``max_length < 1``.
     """
+    corpus = None
+    if callable(min_support):
+        corpus = SequenceCorpus.of_sequences(sequences)
+        if not len(corpus):
+            return []
+        min_support = min_support(len(corpus))
     if min_support < 1:
         raise ValueError("min_support must be at least 1")
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    database = _Database(sequences)
+    if corpus is None:
+        corpus = SequenceCorpus.of_sequences(sequences)
+    database = _Database(corpus)
     alphabet, width = database.alphabet, len(database.alphabet)
     patterns: List[SequentialPattern] = []
     prefixes: List[Tuple[str, ...]] = [()]
@@ -245,7 +252,7 @@ def pattern_support(sequences: Sequence[Sequence[str]],
                if contains_pattern(sequence, pattern))
 
 
-def pattern_supports(sequences: Sequence[Sequence[str]],
+def pattern_supports(sequences: Sequences,
                      patterns: Iterable[Sequence[str]]) -> List[int]:
     """:func:`pattern_support` of each pattern, in order.
 
@@ -257,11 +264,14 @@ def pattern_supports(sequences: Sequence[Sequence[str]],
     table.  A prefix shared by many patterns is matched once.  The
     empty pattern counts every sequence, a pattern holding a state no
     sequence holds counts none, and duplicate patterns share a node.
+    ``sequences`` may be a
+    :class:`~repro.mining.corpus.SequenceCorpus`: its rows are read
+    (and a query's run) even when there is no pattern.
     """
+    database = _Database(SequenceCorpus.of_sequences(sequences))
     patterns = [tuple(pattern) for pattern in patterns]
     if not patterns:
         return []
-    database = _Database(sequences)
     code_of, width = database.code_of, len(database.alphabet)
     live = [pattern for pattern in set(patterns)
             if all(item in code_of for item in pattern)]

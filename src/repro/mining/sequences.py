@@ -21,14 +21,15 @@ from typing import (
     Tuple,
 )
 
-from repro.mining.corpus import Corpus, as_trajectory_list, \
-    iter_trajectories
+from repro.mining.corpus import Corpus, SequenceCorpus, \
+    as_trajectory_list, iter_trajectories
 
 
 def state_sequences(trajectories: Corpus) -> List[List[str]]:
-    """The distinct state sequence of every trajectory."""
-    return [t.distinct_state_sequence()
-            for t in iter_trajectories(trajectories)]
+    """The distinct state sequence of every trajectory, each a fresh
+    list, gathered from the corpus's sequence column
+    (:class:`~repro.mining.corpus.SequenceCorpus`)."""
+    return SequenceCorpus.of(trajectories).lists()
 
 
 def detection_counts(trajectories: Corpus,

@@ -26,13 +26,13 @@ DP instead.
 
 from __future__ import annotations
 
-import itertools
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.indoor.hierarchy import LayerHierarchy
+from repro.mining.corpus import SequenceCorpus
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
@@ -143,21 +143,41 @@ def hierarchy_similarity(hierarchy: LayerHierarchy,
     return 1.0 - distance / max(len(a), len(b))
 
 
-def _encoded_costs(hierarchy: Optional[LayerHierarchy],
-                   sequences: Sequence[Sequence[str]]
-                   ) -> Tuple[List[List[int]], np.ndarray]:
-    """Sequences as state codes plus a dense substitution-cost matrix,
-    from the hierarchy's memoized similarity table (without a
-    hierarchy every substitution costs 1: the soft edit distance is
-    then the exact, small-integer edit distance)."""
-    alphabet = sorted({state for sequence in sequences
-                       for state in sequence})
-    code_of = {state: code for code, state in enumerate(alphabet)}
+def _unique_codes(hierarchy: Optional[LayerHierarchy],
+                  corpus: SequenceCorpus
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray]:
+    """The corpus's distinct sequences in order of first appearance
+    among its rows, coded over the states they hold, sorted, with the
+    dense substitution-cost matrix over those states, from the
+    hierarchy's memoized similarity table (without a hierarchy every
+    substitution costs 1: the soft edit distance is then the exact,
+    small-integer edit distance).
+
+    Returns ``(member_of, flat, lengths, costs)``: per row its unique
+    index, the unique sequences' codes back to back, and their
+    lengths.
+    """
+    column, members = corpus.column, corpus.members
+    order = np.argsort(members, kind="stable")
+    head = np.ones(len(order), bool)
+    np.not_equal(members[order[1:]], members[order[:-1]], out=head[1:])
+    firsts = order[head]  # each distinct id's first row, by id
+    unique = members[np.sort(firsts)]
+    rank = np.empty(len(column.sequences), np.intp)
+    rank[unique] = np.arange(len(unique))
+    lengths = column.length[unique].astype(np.intp)
+    offsets = np.cumsum(lengths) - lengths
+    codes = column.codes[np.arange(int(lengths.sum())) + np.repeat(
+        column.start[unique] - offsets, lengths)]
+    present = np.zeros(len(column.alphabet), bool)
+    present[codes] = True
+    alphabet = [column.alphabet[code]
+                for code in np.flatnonzero(present).tolist()]
     costs = 1.0 - (np.eye(len(alphabet)) if hierarchy is None
                    else hierarchy.similarity_table(alphabet))
-    encoded = [[code_of[state] for state in sequence]
-               for sequence in sequences]
-    return encoded, costs
+    flat = (np.cumsum(present) - 1)[codes]
+    return rank[members], flat, lengths, costs
 
 
 def _soft_edit_similarity(a: Sequence[int], b: Sequence[int],
@@ -207,12 +227,13 @@ def _chunk_size(rows: np.ndarray, cols: np.ndarray) -> int:
     return max(1, int(np.searchsorted(need, CHUNK_CELLS, "right")))
 
 
-def _pair_similarities(unique: Sequence[Tuple[int, ...]],
+def _pair_similarities(flat: np.ndarray, lengths: np.ndarray,
                        costs: np.ndarray,
                        lower: np.ndarray, upper: np.ndarray
                        ) -> np.ndarray:
-    """Soft edit similarity of each pair ``(unique[lower[p]],
-    unique[upper[p]])`` of distinct coded sequences.
+    """Soft edit similarity of each pair ``(lower[p], upper[p])`` of
+    distinct coded sequences, held back to back in ``flat`` with the
+    given ``lengths``.
 
     Each pair is oriented with its shorter side as the rows (the DP of
     the transposed grid is bit-identical: the costs are symmetric and
@@ -223,7 +244,6 @@ def _pair_similarities(unique: Sequence[Tuple[int, ...]],
     pairs that would make a chunk step with few cells (a long side
     beside a short one) run by the scalar DP instead.
     """
-    lengths = np.array([len(codes) for codes in unique], dtype=np.intp)
     swap = lengths[lower] > lengths[upper]
     short = np.where(swap, upper, lower)
     long = np.where(swap, lower, upper)
@@ -235,10 +255,9 @@ def _pair_similarities(unique: Sequence[Tuple[int, ...]],
     short, long = short[order], long[order]
     rows, cols = lengths[short], lengths[long]
     sums, cells = rows + cols, rows * cols
-    # Every sequence's codes back to back, then one padding code.
-    flat = np.fromiter(itertools.chain(*unique, [0]), np.intp,
-                       int(lengths.sum()) + 1)
     offsets = np.cumsum(lengths) - lengths
+    # Every sequence's codes back to back, then one padding code.
+    flat = np.append(flat.astype(np.intp), 0)
     table = costs.ravel()
     scalar_costs: List[List[float]] = []
     start = 0
@@ -249,8 +268,11 @@ def _pair_similarities(unique: Sequence[Tuple[int, ...]],
         if lead > start:
             scalar_costs = scalar_costs or costs.tolist()
             values[order[start:lead]] = [_soft_edit_similarity(
-                unique[lower[p]], unique[upper[p]], scalar_costs)
-                for p in order[start:lead]]
+                flat[offsets[a]:offsets[a] + lengths[a]].tolist(),
+                flat[offsets[b]:offsets[b] + lengths[b]].tolist(),
+                scalar_costs)
+                for a, b in zip(lower[order[start:lead]],
+                                upper[order[start:lead]])]
         if lead < stop:
             distance = _rolling_chunk(
                 flat, offsets[short[lead:stop]], offsets[long[lead:stop]],
@@ -329,12 +351,16 @@ def _rolling_chunk(flat: np.ndarray, short_at: np.ndarray,
 
 
 def similarity_matrix(hierarchy: Optional[LayerHierarchy],
-                      sequences: Sequence[Sequence[str]]
+                      sequences: Union[Sequence[Sequence[str]],
+                                       SequenceCorpus]
                       ) -> List[List[float]]:
     """Pairwise similarity matrix (hierarchy-aware when given one),
     identical to :func:`hierarchy_similarity` (without a hierarchy,
-    :func:`normalized_edit_similarity`) per pair."""
-    return _similarity_rows(hierarchy, sequences, 0, len(sequences))
+    :func:`normalized_edit_similarity`) per pair.  ``sequences`` may
+    be a :class:`~repro.mining.corpus.SequenceCorpus`: a row per
+    document."""
+    corpus = SequenceCorpus.of_sequences(sequences)
+    return _similarity_rows(hierarchy, corpus, 0, len(corpus))
 
 
 def similarity_block(hierarchy: Optional[LayerHierarchy],
@@ -348,30 +374,32 @@ def similarity_block(hierarchy: Optional[LayerHierarchy],
     if not 0 <= row_start <= row_end <= size:
         raise ValueError("row block [{}, {}) out of range for {} "
                          "sequences".format(row_start, row_end, size))
-    return _similarity_rows(hierarchy, sequences, row_start, row_end)
+    return _similarity_rows(hierarchy,
+                            SequenceCorpus.of_sequences(sequences),
+                            row_start, row_end)
 
 
 def _similarity_rows(hierarchy: Optional[LayerHierarchy],
-                     sequences: Sequence[Sequence[str]],
+                     corpus: SequenceCorpus,
                      row_start: int, row_end: int
                      ) -> List[List[float]]:
     """Matrix rows from one DP per unique sequence pair (corpora
-    repeat sequences heavily), lower unique index first; each row
-    shares its unique sequence's float objects."""
-    if len(sequences) < 2:  # no pairs: at most the diagonal
+    repeat sequences heavily; the column holds each once), lower
+    unique index first; each row shares its unique sequence's float
+    objects."""
+    if len(corpus) < 2:  # no pairs: at most the diagonal
         return [[1.0] for _ in range(row_start, row_end)]
-    encoded, costs = _encoded_costs(hierarchy, sequences)
-    unique_index: Dict[Tuple[int, ...], int] = {}
-    member_of = [unique_index.setdefault(tuple(codes), len(unique_index))
-                 for codes in encoded]
-    rows = sorted(set(member_of[row_start:row_end]))
-    needed = np.zeros((len(unique_index),) * 2, dtype=bool)
+    member_of, flat, lengths, costs = _unique_codes(hierarchy, corpus)
+    rows = np.flatnonzero(np.bincount(member_of[row_start:row_end],
+                                      minlength=len(lengths)))
+    needed = np.zeros((len(lengths),) * 2, dtype=bool)
     needed[rows, :] = needed[:, rows] = True
     lower, upper = np.nonzero(np.triu(needed, 1))
     scores = np.ones(needed.shape)
     scores[lower, upper] = scores[upper, lower] = _pair_similarities(
-        list(unique_index), costs, lower, upper)
+        flat, lengths, costs, lower, upper)
+    member_of = member_of.tolist()
     pick = itemgetter(*member_of)
-    shared = {row: scores[row].tolist() for row in rows}
+    shared = {row: scores[row].tolist() for row in rows.tolist()}
     return [list(pick(shared[member_of[i]]))
             for i in range(row_start, row_end)]

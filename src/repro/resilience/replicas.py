@@ -213,7 +213,7 @@ class ShardTarget:
         stale and leaves the read rotation until healed — after a
         restart it replays the shared journal and catches up.
         """
-        result = self._invoke(0, command, deadline)
+        result = self.call_primary(command, deadline)
         for index in range(1, len(self.replicas)):
             if self.stale[index]:
                 continue
@@ -227,8 +227,17 @@ class ShardTarget:
 
     def call_primary(self, command,
                      deadline: Optional[Deadline] = None):
-        """Primary only — checkpoints; standbys never own the log."""
-        return self._invoke(0, command, deadline)
+        """Primary only — checkpoints; standbys never own the log.
+
+        A transport failure (a dropped connection, garbled bytes, a
+        hedged timeout) raises :class:`ReplicaUnavailable`, chained to
+        it: the primary cannot be replaced, so the request answers
+        ``unavailable``.
+        """
+        try:
+            return self._invoke(0, command, deadline)
+        except (OSError, P.ProtocolError, _ReplicaTimeout) as error:
+            raise ReplicaUnavailable(self.shard, 1) from error
 
     # ------------------------------------------------------------------
     # health

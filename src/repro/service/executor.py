@@ -24,6 +24,7 @@ code (``unknown_session``, ``bad_cursor``, ...).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -42,9 +43,10 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.mining.corpus import Corpus
+from repro.mining.corpus import Corpus, SequenceCorpus
 from repro.mining.flow import flow_balances, merge_flow_balances
-from repro.mining.prefixspan import SequentialPattern, prefixspan
+from repro.mining.prefixspan import SequentialPattern, Sequences, \
+    prefixspan
 from repro.mining.sequences import (
     corpus_summary,
     merge_summary_parts,
@@ -84,18 +86,17 @@ class CommandError(Exception):
 # ----------------------------------------------------------------------
 # shared corpus-level mining helpers (Workbench uses these too)
 # ----------------------------------------------------------------------
-def patterns_over(sequences: Sequence[Sequence[str]],
+def patterns_over(sequences: Sequences,
                   min_support: float = 0.05,
                   max_length: int = 4) -> List[SequentialPattern]:
     """PrefixSpan with the service's support convention
-    (:func:`support_threshold`).  The one implementation shared by
-    the ``MinePatterns`` command and :meth:`Workbench.patterns
+    (:func:`support_threshold`; an empty corpus mines nothing before
+    any argument check).  The one implementation shared by the
+    ``MinePatterns`` command and :meth:`Workbench.patterns
     <repro.api.Workbench.patterns>`.
     """
-    if not sequences:
-        return []
     return prefixspan(sequences,
-                      support_threshold(min_support, len(sequences)),
+                      functools.partial(support_threshold, min_support),
                       max_length)
 
 
@@ -109,7 +110,7 @@ def support_threshold(min_support: float, sequence_count: int) -> int:
 
 
 def similarity_over(space: Optional[object],
-                    sequences: Sequence[Sequence[str]],
+                    sequences: Sequences,
                     hierarchy: Optional[object] = None
                     ) -> List[List[float]]:
     """Similarity matrix, hierarchy-aware when the space has one."""
@@ -257,7 +258,14 @@ def _session(registry: SessionRegistry, name: str) -> Session:
 def _corpus(session: Session, query: Optional[Dict]) -> Corpus:
     if query is None:
         return session.workbench.store
-    return parse_query(session.workbench.store, query).execute()
+    return parse_query(session.workbench.store, query)
+
+
+def _sequence_corpus(session: Session,
+                     query: Optional[Dict]) -> SequenceCorpus:
+    """The query's rows of the store's sequence column, resolved
+    (the query run) by the first miner that reads them."""
+    return SequenceCorpus.of(_corpus(session, query))
 
 
 def _build(registry: SessionRegistry,
@@ -527,10 +535,10 @@ def _mine_patterns(registry: SessionRegistry,
                    command: P.MinePatterns) -> P.Response:
     session = _session(registry, command.session)
     check_numbers(command)
-    sequences = state_sequences(_corpus(session, command.query))
     try:
-        patterns = patterns_over(sequences, command.min_support,
-                                 command.max_length)
+        patterns = patterns_over(
+            _sequence_corpus(session, command.query),
+            command.min_support, command.max_length)
     except ValueError as error:
         raise CommandError("bad_request", str(error))
     return P.PatternList(patterns=patterns)
@@ -539,8 +547,8 @@ def _mine_patterns(registry: SessionRegistry,
 def _similarity(registry: SessionRegistry,
                 command: P.Similarity) -> P.Response:
     session = _session(registry, command.session)
-    sequences = state_sequences(_corpus(session, command.query))
-    matrix = similarity_over(session.workbench.space, sequences)
+    matrix = similarity_over(session.workbench.space,
+                             _sequence_corpus(session, command.query))
     return P.SimilarityMatrix(matrix=matrix)
 
 
@@ -596,10 +604,9 @@ def _count_patterns(registry: SessionRegistry,
 
     session = _session(registry, command.session)
     check_patterns(command)
-    sequences = state_sequences(_corpus(session, command.query))
-    supports = pattern_supports(sequences, command.patterns)
-    return P.PatternSupports(supports=supports,
-                             sequences=len(sequences))
+    corpus = _sequence_corpus(session, command.query)
+    supports = pattern_supports(corpus, command.patterns)
+    return P.PatternSupports(supports=supports, sequences=len(corpus))
 
 
 def _similarity_block(registry: SessionRegistry,

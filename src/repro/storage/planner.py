@@ -35,6 +35,8 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterator, List, \
     Optional, Tuple
 
+import numpy as np
+
 from repro.storage.expr import (
     ActiveBetween,
     And,
@@ -207,9 +209,37 @@ class Plan:
         self.root = root
         self.residuals = residuals
 
+    @property
+    def store(self) -> TrajectoryStore:
+        """The store the plan reads."""
+        return self._store
+
     def candidate_ids(self) -> FrozenSet[int]:
         """The id set before the lazy residual phase."""
         return self.root.ids()
+
+    def doc_ids(self, start_after: Optional[int] = None) -> np.ndarray:
+        """The candidates in document-id order, as one sorted int64
+        array (before the residual phase).
+
+        Args:
+            start_after: keep only ``doc_id > start_after``.
+        """
+        candidates = self.candidate_ids()
+        doc_ids = np.fromiter(candidates, np.int64, len(candidates))
+        doc_ids.sort()
+        if start_after is not None:
+            doc_ids = doc_ids[np.searchsorted(doc_ids, start_after,
+                                              "right"):]
+        return doc_ids
+
+    def matching_ids(self) -> np.ndarray:
+        """Every match's id, in order: :meth:`doc_ids`, filtered by
+        the residuals when there are any (which fetches)."""
+        if not self.residuals:
+            return self.doc_ids()
+        return np.fromiter((hit.doc_id for hit in self.iter_results()),
+                           np.int64)
 
     def iter_results(self, start_after: Optional[int] = None
                      ) -> Iterator[StoredTrajectory]:
@@ -222,11 +252,7 @@ class Plan:
                 cursors (each page costs O(page), not O(prefix)).
         """
         residuals = self.residuals
-        candidates = self.candidate_ids()
-        if start_after is not None:
-            candidates = [doc_id for doc_id in candidates
-                          if doc_id > start_after]
-        doc_ids = sorted(candidates)
+        doc_ids = self.doc_ids(start_after).tolist()
         for doc_id, trajectory in zip(doc_ids,
                                       self._store.iter_ids(doc_ids)):
             if all(p.matches(trajectory) for p in residuals):

@@ -2,20 +2,26 @@
 
 :class:`TrajectoryStore` owns a corpus of
 :class:`~repro.core.trajectory.SemanticTrajectory` objects and
-maintains three secondary indexes over them:
+maintains these secondary indexes over them:
 
 * an inverted index state → trajectories that visit it;
 * an inverted index (annotation kind, value) → trajectories carrying
   it (whole-trajectory or stay-level);
 * an inverted index moving object → its trajectories;
 * start-sorted interval arrays over presence intervals for time
-  queries, with a doc-id column aligned to them.
+  queries, with a doc-id column aligned to them;
+* a sequence column (:mod:`repro.storage.column`): each distinct
+  state sequence once, laid out for the miners, and per document the
+  id of its sequence.
 
-Indexes are maintained incrementally on insert; the interval index —
-a static structure — is rebuilt lazily on first temporal query after a
-write, and published together with its doc-id column as one immutable
-object, so a reader never pairs one build's positions with another
-build's doc ids.
+The inverted indexes are maintained incrementally on insert.  The
+interval index — a static structure — is rebuilt lazily on first
+temporal query after a write, and published together with its doc-id
+column as one immutable object, so a reader never pairs one build's
+positions with another build's doc ids.  The sequence column is
+append-only: the first mining read after a write catches it up over
+the new documents and publishes the result the same way.  It is never
+built on the write path, at snapshot load or at log replay.
 
 The store is safe for **concurrent readers with a single writer**: a
 :class:`~repro.storage.locks.ReadWriteLock` guards every public
@@ -38,6 +44,7 @@ import numpy as np
 
 from repro.core.annotations import AnnotationKind, AnnotationValue
 from repro.core.trajectory import SemanticTrajectory
+from repro.storage.column import EMPTY, SequenceColumn
 from repro.storage.index import InvertedIndex
 from repro.storage.intervals import IntervalIndex
 from repro.storage.locks import ReadWriteLock
@@ -74,6 +81,7 @@ class TrajectoryStore:
         self._by_annotation = InvertedIndex()
         self._by_mo = InvertedIndex()
         self._interval_index: Optional[_TemporalIndex] = None
+        self._sequence_column: SequenceColumn = EMPTY
         self._span: Optional[Tuple[float, float]] = None
         self._lock = ReadWriteLock()
         self._wal = None
@@ -390,6 +398,24 @@ class TrajectoryStore:
             intervals, np.asarray(docs, dtype=np.int64)[intervals.order])
         self._interval_index = temporal
         return temporal
+
+    def sequence_column(self) -> SequenceColumn:
+        """The sequence column over every document stored now.
+
+        Caught up over the documents appended since the last call and
+        published by one assignment, under the read lock: writers are
+        excluded, so racing readers extend the same snapshot to the
+        same length and publish equal columns.
+        """
+        with self._lock.read_locked():
+            column = self._sequence_column
+            count = len(self._docs)
+            if len(column) < count:
+                column = column.extended(
+                    trajectory.distinct_states
+                    for trajectory in self._docs[len(column):count])
+                self._sequence_column = column
+            return column
 
     # ------------------------------------------------------------------
     # statistics

@@ -162,3 +162,67 @@ class TestThreadHygiene:
             time.sleep(0.1)
         assert threading.active_count() <= baseline + 4, \
             [thread.name for thread in threading.enumerate()]
+
+
+class _ResetOnIngest:
+    """A primary binding whose connection resets on every non-empty
+    ``IngestDocuments`` (reads and empty writes pass through)."""
+
+    def __init__(self, binding) -> None:
+        self.binding = binding
+
+    def call(self, command):
+        if isinstance(command, P.IngestDocuments) and command.docs:
+            raise ConnectionResetError("reset")
+        return self.binding.call(command)
+
+
+class TestPrimaryTransportErrors:
+    """A write primary's transport failure answers ``unavailable``,
+    chained to the raw error, never ``internal``."""
+
+    @pytest.fixture()
+    def coordinator(self):
+        from repro.shard import ShardCoordinator
+
+        coordinator = ShardCoordinator.local(2)
+        for target in coordinator.targets:
+            target.replicas[0] = _ResetOnIngest(target.replicas[0])
+        yield coordinator
+        coordinator.close()
+
+    def test_ingest_answers_unavailable(self, coordinator, corpus_docs):
+        from repro.service.executor import execute_safely
+
+        response = execute_safely(coordinator, P.IngestDocuments(
+            session=SESSION, docs=corpus_docs[:8]))
+        assert isinstance(response, P.ErrorInfo), response
+        assert response.code == "unavailable", response
+
+    def test_primary_error_is_chained(self, coordinator, corpus_docs):
+        from repro.resilience import ReplicaUnavailable
+
+        with pytest.raises(ReplicaUnavailable) as raised:
+            coordinator.targets[0].call_write(P.IngestDocuments(
+                session=SESSION, docs=corpus_docs[:1]))
+        assert isinstance(raised.value.__cause__, ConnectionResetError)
+
+    def test_stream_append_answers_unavailable(self, coordinator):
+        from repro.service.executor import execute_safely
+
+        opened = execute_safely(coordinator, P.OpenStream(
+            session=SESSION, stream="gates"))
+        assert not isinstance(opened, P.ErrorInfo), opened
+        events = [{"mo_id": mo_id, "state": state,
+                   "t_start": t0 + 60.0 * step,
+                   "t_end": t0 + 60.0 * (step + 1)}
+                  for mo_id, t0 in (("alice", 0.0), ("bob", 10.0))
+                  for step, state in enumerate(
+                      ["zone60886", "zone60887"])]
+        # The watermark passes the visits' gap, so both close and are
+        # stored through the resetting primaries.
+        response = execute_safely(coordinator, P.AppendEvents(
+            session=SESSION, stream="gates", events=events,
+            watermark=10 * 3600.0))
+        assert isinstance(response, P.ErrorInfo), response
+        assert response.code == "unavailable", response

@@ -324,3 +324,102 @@ class TestConcurrentStore:
         for window in windows:
             assert sorted(store.ids_active_between(*window)) \
                 == active[window]
+
+
+class TestSequenceColumn:
+    def test_column_reads_race_extend(self):
+        """Mining reads racing a writer's ``extend``: a whole-store
+        corpus has exactly as many rows as its column snapshot has
+        documents, a query's rows are its matches over some prefix
+        its column covers, and both decode to the documents' distinct
+        sequences."""
+        from repro.mining.corpus import SequenceCorpus
+
+        batches = [_batch(index, size=10) for index in range(30)]
+        corpus = [doc for batch in batches for doc in batch]
+        expected = [list(doc.distinct_states) for doc in corpus]
+        store = TrajectoryStore()
+        store.extend(batches[0])
+        stop = threading.Event()
+        errors = []
+        checked = []
+
+        def writer():
+            try:
+                for batch in batches[1:]:
+                    store.extend(batch)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+            finally:
+                stop.set()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    before = len(store)
+                    whole = SequenceCorpus.of(store)
+                    rows = whole.lists()
+                    after = len(store)
+                    assert len(whole) == len(whole.column)
+                    assert before <= len(rows) <= after
+                    assert rows == expected[:len(rows)]
+                    # A query's column is read after its plan, so it
+                    # covers every id the plan saw (and maybe more).
+                    matched = SequenceCorpus.of(
+                        Query(store).visiting_state("b"))
+                    rows = matched.lists()
+                    seen = len(matched.column)
+                    assert any(rows == [sequence for sequence
+                                        in expected[:length]
+                                        if "b" in sequence]
+                               for length in range(before, seen + 1))
+                    checked.append(seen)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        writer_thread = threading.Thread(target=writer)
+        for thread in readers:
+            thread.start()
+        writer_thread.start()
+        writer_thread.join(timeout=60)
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=60)
+        assert not errors, errors[:3]
+        assert checked
+        assert len(store.sequence_column()) == len(corpus)
+
+    def test_racing_catch_ups_publish_equal_columns(self):
+        """Readers catching the column up at once build and publish
+        equal snapshots."""
+        store = TrajectoryStore()
+        for index in range(5):
+            store.extend(_batch(index))
+        barrier = threading.Barrier(8)
+        columns = []
+        errors = []
+
+        def catch_up():
+            try:
+                barrier.wait(timeout=10)
+                columns.append(store.sequence_column())
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=catch_up) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors[:3]
+        published = store.sequence_column()
+        assert len(columns) == 8
+        for column in columns:
+            assert len(column) == len(store)
+            assert column.sequences == published.sequences
+            assert column.alphabet == published.alphabet
+            for name in ("ids", "codes", "start", "length", "end",
+                         "previous"):
+                assert getattr(column, name).tolist() \
+                    == getattr(published, name).tolist(), name
