@@ -12,21 +12,31 @@ the distribution win needs the process backend (``repro serve
 coordinator staying *cheap*.
 
 Each engine is measured on ingest, a warm ``RunQuery`` (latency
-p50/p95 and requests/s), a full cursor walk in pages of 100, and the
-best of a few ``MinePatterns`` and ``Similarity`` calls.  ``--out``
-writes the measurements (the committed baseline is
-``BENCH_shard.json``); ``--smoke`` shrinks the corpus and repeats
-for CI.
+p50/p95 and requests/s), a full cursor walk ordered by duration in
+pages of 100, and the best of a few ``MinePatterns`` and
+``Similarity`` calls.  The ``one_shard`` section then times single
+commands — an ordered and a natural-order ``RunQuery`` page,
+``MinePatterns``, ``Flow`` and ``Summary`` over one-week windows —
+unsharded and on one shard in alternating rounds, so a drift of the
+machine's speed hits both alike; its ratios are the cost of the
+coordinator over the executor it wraps.  ``--out`` writes the
+measurements with the host in ``meta.machine`` (the committed
+baseline is ``BENCH_shard.json``); ``--smoke`` shrinks the corpus and
+repeats for CI.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import sys
 import time
 from typing import Dict, List
+
+import numpy
 
 from repro.service import protocol as P
 from repro.service.registry import SessionRegistry
@@ -108,6 +118,77 @@ def _shard_metrics(engine, docs: List[Dict], repeats: int) -> Dict:
     }
 
 
+#: The commands the ``one_shard`` section times, each built over one
+#: window's query.
+ONE_SHARD_COMMANDS = {
+    "ordered_run_query": lambda query: P.RunQuery(
+        session=SESSION, query=query, limit=20, order_by="duration",
+        include_total=False),
+    "natural_run_query": lambda query: P.RunQuery(
+        session=SESSION, query=query, limit=20, include_total=False),
+    "mine_patterns": lambda query: P.MinePatterns(
+        session=SESSION, query=query, min_support=0.05, max_length=4),
+    "flow": lambda query: P.Flow(session=SESSION, query=query),
+    "summary": lambda query: P.Summary(session=SESSION, query=query),
+}
+
+WEEK_SECONDS = 7 * 24 * 3600.0
+
+
+def _one_shard(docs: List[Dict], windows: int, rounds: int,
+               repeats: int) -> Dict:
+    """Per-call milliseconds of each :data:`ONE_SHARD_COMMANDS` kind
+    over ``windows`` one-week windows spread across the corpus, on a
+    registry and on a one-shard coordinator: the best pass of
+    ``repeats`` over every window, the two engines alternating for
+    ``rounds`` rounds."""
+    engines = {"unsharded": SessionRegistry(),
+               "shards_1": ShardCoordinator.local(1)}
+    for engine in engines.values():
+        engine.execute_command(P.IngestDocuments(session=SESSION,
+                                                 docs=docs))
+    start, end = engines["unsharded"].get(
+        SESSION).workbench.store.time_span()
+    stride = max(0.0, end - start - WEEK_SECONDS) / max(1, windows - 1)
+    queries = [{"expr": {"op": "window", "start": start + k * stride,
+                         "end": start + k * stride + WEEK_SECONDS}}
+               for k in range(windows)]
+    best: Dict[str, Dict[str, float]] = {}
+    for kind, make in ONE_SHARD_COMMANDS.items():
+        commands = [make(query) for query in queries]
+        for engine in engines.values():  # warm, and check the replies
+            replies = [engine.execute_command(command)
+                       for command in commands]
+            assert not any(isinstance(reply, P.ErrorInfo)
+                           for reply in replies), replies
+        times = {name: float("inf") for name in engines}
+        for _ in range(rounds):
+            for name, engine in engines.items():
+                times[name] = min(times[name], min(_timed(
+                    lambda: [engine.execute_command(command)
+                             for command in commands], repeats)))
+        best[kind] = {
+            "unsharded_ms": times["unsharded"] * 1000.0 / windows,
+            "shards_1_ms": times["shards_1"] * 1000.0 / windows,
+            "ratio": times["shards_1"] / times["unsharded"]}
+    return {"windows": windows, "rounds": rounds, "repeats": repeats,
+            "commands": best}
+
+
+def _machine() -> str:
+    """The host: CPU model, CPUs, Python and numpy versions."""
+    model = platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            model = next(line.split(":", 1)[1].strip() for line in info
+                         if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return "{}, {} CPUs, Python {}, numpy {}".format(
+        model, os.cpu_count(), platform.python_version(),
+        numpy.__version__)
+
+
 def run_benchmarks(smoke: bool = False) -> Dict:
     scale = 0.02 if smoke else 0.1
     repeats = 20 if smoke else 100
@@ -144,10 +225,13 @@ def run_benchmarks(smoke: bool = False) -> Dict:
             "mine_vs_unsharded":
                 section["mine_s"] / baseline["mine_s"],
         }
+    one_shard = _one_shard(docs, windows=8 if smoke else 40,
+                           rounds=3, repeats=2 if smoke else 5)
     from provenance import louvre_provenance
 
     return {
         "bench": "shard",
+        "meta": {"machine": _machine()},
         "config": {"smoke": smoke, "scale": scale,
                    "repeats": repeats, "corpus": len(docs),
                    "shard_counts": [1, 2, 4],
@@ -155,6 +239,7 @@ def run_benchmarks(smoke: bool = False) -> Dict:
                    "python": sys.version.split()[0]},
         "metrics": metrics,
         "scaling": scaling,
+        "one_shard": one_shard,
     }
 
 

@@ -408,7 +408,7 @@ class Workbench:
             max_length: longest pattern to explore.
         """
         from repro.service import protocol as P
-        from repro.service.executor import patterns_over
+        from repro.service.executor import CorpusReads, mine_patterns
 
         return self._delegate(
             corpus,
@@ -416,9 +416,8 @@ class Workbench:
                                      min_support=min_support,
                                      max_length=max_length),
             "patterns",
-            lambda: patterns_over(
-                SequenceCorpus.of(self._corpus(corpus)),
-                min_support, max_length))
+            lambda: mine_patterns(CorpusReads(self._corpus(corpus)),
+                                  min_support, max_length))
 
     def similarity(self, corpus: Optional[Corpus] = None,
                    hierarchy: Optional[object] = None

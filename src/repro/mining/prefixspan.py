@@ -18,7 +18,7 @@ sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, \
+from typing import Dict, Iterable, List, Mapping, Sequence, \
     Tuple, Union
 
 import numpy as np
@@ -174,7 +174,7 @@ class _Pass:
 
 
 def prefixspan(sequences: Sequences,
-               min_support: Union[int, Callable[[int], int]],
+               min_support: int,
                max_length: int = 6) -> List[SequentialPattern]:
     """Mine frequent sequential patterns.
 
@@ -186,9 +186,7 @@ def prefixspan(sequences: Sequences,
         sequences: the symbolic state sequences (one per trajectory),
             or a :class:`~repro.mining.corpus.SequenceCorpus`.
         min_support: minimum number of sequences a pattern must occur
-            in (absolute count), or a function mapping the number of
-            sequences to it (then an empty corpus mines nothing,
-            whatever the other arguments).
+            in (absolute count).
         max_length: maximum pattern length to explore.
 
     Returns:
@@ -197,19 +195,11 @@ def prefixspan(sequences: Sequences,
     Raises:
         ValueError: for ``min_support < 1`` or ``max_length < 1``.
     """
-    corpus = None
-    if callable(min_support):
-        corpus = SequenceCorpus.of_sequences(sequences)
-        if not len(corpus):
-            return []
-        min_support = min_support(len(corpus))
     if min_support < 1:
         raise ValueError("min_support must be at least 1")
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    if corpus is None:
-        corpus = SequenceCorpus.of_sequences(sequences)
-    database = _Database(corpus)
+    database = _Database(SequenceCorpus.of_sequences(sequences))
     alphabet, width = database.alphabet, len(database.alphabet)
     patterns: List[SequentialPattern] = []
     prefixes: List[Tuple[str, ...]] = [()]

@@ -12,10 +12,13 @@ operations to.  Anything this module computes is therefore guaranteed
 to serialize identically whether it travelled over a socket or not.
 
 The shard coordinator (:mod:`repro.shard.coordinator`) is the other
-:class:`Engine`.  It shares this module's dispatch
-(:func:`dispatch`), its validators, the RunQuery route/merge phases
-and the merges of the single-scatter reads (:data:`SCATTER_READS`):
-what the two engines compute alike is written once, here.
+:class:`Engine`.  It shares this module's dispatch (:func:`dispatch`),
+its validators, the merges of the single-scatter reads
+(:data:`SCATTER_READS`), and the very handlers of ``RunQuery``,
+``MinePatterns`` and ``Explain`` (:data:`READ_HANDLERS`) and of the
+stream commands (:data:`STREAM_HANDLERS`).  For those reads an engine
+supplies only the execute phase (:class:`Reads`); the registry's is
+the one-store case (:class:`StoreReads`).
 
 Failures never escape as raw exceptions: they come back as
 :class:`~repro.service.protocol.ErrorInfo` with a machine-matchable
@@ -28,11 +31,13 @@ import functools
 import heapq
 import math
 import sys
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -65,9 +70,10 @@ from repro.service.registry import (
     UnknownJobError,
     UnknownSessionError,
 )
-from repro.storage.expr import ExprSerializationError
+from repro.storage.expr import Expr, ExprSerializationError
 from repro.storage.query import Query
-from repro.storage.results import ORDER_KEYS, ResultSet
+from repro.storage.results import ORDER_KEYS
+from repro.storage.store import TrajectoryStore
 from repro.stream.segmenter import finite_time
 
 #: Hard page-size ceiling; RunQuery limits are clamped to it.
@@ -86,20 +92,6 @@ class CommandError(Exception):
 # ----------------------------------------------------------------------
 # shared corpus-level mining helpers (Workbench uses these too)
 # ----------------------------------------------------------------------
-def patterns_over(sequences: Sequences,
-                  min_support: float = 0.05,
-                  max_length: int = 4) -> List[SequentialPattern]:
-    """PrefixSpan with the service's support convention
-    (:func:`support_threshold`; an empty corpus mines nothing before
-    any argument check).  The one implementation shared by the
-    ``MinePatterns`` command and :meth:`Workbench.patterns
-    <repro.api.Workbench.patterns>`.
-    """
-    return prefixspan(sequences,
-                      functools.partial(support_threshold, min_support),
-                      max_length)
-
-
 def support_threshold(min_support: float, sequence_count: int) -> int:
     """The absolute support ``min_support`` asks for over
     ``sequence_count`` sequences: the count itself when >= 1, else
@@ -107,6 +99,27 @@ def support_threshold(min_support: float, sequence_count: int) -> int:
     if min_support >= 1:
         return int(min_support)
     return max(2, int(math.ceil(min_support * sequence_count)))
+
+
+def mine_patterns(reads: Reads, min_support: float,
+                  max_length: int) -> List[SequentialPattern]:
+    """The ``MinePatterns`` rules over any engine's :class:`Reads`:
+    an empty corpus mines nothing before any range rule, then
+    ``max_length`` is checked and ``min_support`` resolved over the
+    corpus size (:func:`support_threshold`).  The ``MinePatterns``
+    handler and :meth:`Workbench.patterns
+    <repro.api.Workbench.patterns>` both mine through it.
+
+    Raises:
+        ValueError: ``max_length < 1`` over a non-empty corpus.
+    """
+    size = reads.size()
+    if size == 0:
+        return []
+    if max_length < 1:
+        raise ValueError("max_length must be at least 1")
+    return reads.patterns(support_threshold(min_support, size),
+                          max_length)
 
 
 def similarity_over(space: Optional[object],
@@ -255,19 +268,6 @@ def _session(registry: SessionRegistry, name: str) -> Session:
         raise unknown_session(name, registry.names())
 
 
-def _corpus(session: Session, query: Optional[Dict]) -> Corpus:
-    if query is None:
-        return session.workbench.store
-    return parse_query(session.workbench.store, query)
-
-
-def _sequence_corpus(session: Session,
-                     query: Optional[Dict]) -> SequenceCorpus:
-    """The query's rows of the store's sequence column, resolved
-    (the query run) by the first miner that reads them."""
-    return SequenceCorpus.of(_corpus(session, query))
-
-
 def _build(registry: SessionRegistry,
            command: P.BuildDataset) -> P.Response:
     try:
@@ -309,37 +309,39 @@ def _drop_session(registry: SessionRegistry,
 
 
 # ----------------------------------------------------------------------
-# RunQuery, split into route / execute / merge phases
+# the read handlers: RunQuery, MinePatterns and Explain
 #
-# The *route* phase (validation, page shaping, cursor decoding) and
-# the *merge* phase (page assembly, cursor issuing) are pure functions
-# of the command, shared verbatim by the single-process path below and
-# the shard coordinator (repro.shard.coordinator) — that sharing is
-# what makes sharded pages byte-identical, error messages included.
-# Only the *execute* phase differs: one store here, a k-way merged
-# scatter there.
+# One handler per command serves both engines and holds every route
+# and merge rule; an engine supplies only the execute phase, through
+# the per-command handle its ``reads`` returns (StoreReads over one
+# store, the coordinator's over its shards).  Sharded bytes equal
+# unsharded bytes because each rule exists once.
 # ----------------------------------------------------------------------
+@dataclass
 class PageSpec:
-    """The routed shape of one RunQuery page."""
+    """The routed shape of one RunQuery page, its parsed query
+    ``expression`` and its decoded cursor: a keyset ``boundary``
+    ``(order-key value, doc id)`` for explicit orderings, a
+    ``last_doc_id`` for natural order, both None on a first page."""
 
-    __slots__ = ("limit", "offset", "order_by", "descending",
-                 "fingerprint")
-
-    def __init__(self, limit: int, offset: int,
-                 order_by: Optional[str], descending: bool,
-                 fingerprint: str) -> None:
-        self.limit = limit
-        self.offset = offset
-        self.order_by = order_by
-        self.descending = descending
-        self.fingerprint = fingerprint
+    limit: int
+    offset: int
+    order_by: Optional[str]
+    descending: bool
+    fingerprint: str
+    boundary: Optional[Tuple] = None
+    last_doc_id: Optional[int] = None
+    expression: Optional[Expr] = None
 
 
 def route_page(command: P.RunQuery) -> PageSpec:
-    """Validate page shaping and resolve the effective ordering.
+    """Validate a RunQuery page in its pinned order — the numeric
+    fields, limit, offset and order_by, the query, the cursor — and
+    resolve its ordering and resume boundary.
 
     Raises:
-        CommandError: on an unusable limit/offset/order_by.
+        CommandError: ``bad_request`` on an unusable field or query,
+            ``bad_cursor`` on any malformed/mismatched token.
     """
     check_numbers(command)
     if command.limit < 1:
@@ -354,36 +356,21 @@ def route_page(command: P.RunQuery) -> PageSpec:
             "bad_request",
             "unknown order_by {!r}; one of: {}".format(
                 command.order_by, ", ".join(sorted(ORDER_KEYS))))
-    limit = min(command.limit, MAX_PAGE_SIZE)
     # An offset past sys.maxsize skips every hit, and islice takes
     # no larger count.
-    offset = min(command.offset, sys.maxsize)
-    fingerprint = P.page_fingerprint(command.query, command.order_by,
-                                     command.descending)
+    spec = PageSpec(min(command.limit, MAX_PAGE_SIZE),
+                    min(command.offset, sys.maxsize), command.order_by,
+                    command.descending, P.page_fingerprint(
+                        command.query, command.order_by,
+                        command.descending))
     # ``descending`` without an explicit key means newest-first
     # natural order: honor it as an explicit doc_id sort, never
     # silently ignore it.
-    order_by = command.order_by
-    if order_by is None and command.descending:
-        order_by = "doc_id"
-    return PageSpec(limit, offset, order_by,
-                    command.descending, fingerprint)
-
-
-def decode_page_cursor(command: P.RunQuery, spec: PageSpec
-                       ) -> Tuple[Optional[Tuple], Optional[int]]:
-    """Decode and validate a resume cursor against the routed page.
-
-    Returns ``(boundary, last_doc_id)``: a keyset ``(order-key
-    value, doc id)`` boundary for explicit orderings, a plain last
-    doc id for natural order, both ``None`` without a cursor.
-
-    Raises:
-        CommandError: ``bad_cursor`` on any malformed/mismatched
-            token.
-    """
+    if spec.order_by is None and spec.descending:
+        spec.order_by = "doc_id"
+    spec.expression = parse_query(None, command.query).expression()
     if command.cursor is None:
-        return None, None
+        return spec
     try:
         token = P.decode_cursor(command.cursor)
     except P.ProtocolError as error:
@@ -400,53 +387,122 @@ def decode_page_cursor(command: P.RunQuery, spec: PageSpec
     if doc_id < 0:  # cursors are forgeable base64 — validate
         raise CommandError("bad_cursor",
                            "cursor position is negative")
-    if spec.order_by is not None:
-        # Keyset cursor: (order-key value, doc id) of the last hit
-        # served.  The value's JSON type must match what the order
-        # key yields — a forged/stale token surfaces as bad_cursor,
-        # not as a TypeError mid-sort.
-        if "okv" not in token:
-            raise CommandError(
-                "bad_cursor",
-                "cursor carries no keyset boundary for ordered "
-                "pagination (offset cursors are no longer "
-                "issued)")
-        value = token["okv"]
-        if not isinstance(value, (str, int, float)) \
-                or isinstance(value, bool):
-            raise CommandError(
-                "bad_cursor", "unorderable cursor boundary")
-        return (value, doc_id), None
-    return None, doc_id
+    if spec.order_by is None:
+        spec.last_doc_id = doc_id
+        return spec
+    # Keyset cursor: (order-key value, doc id) of the last hit
+    # served.  The value's JSON type must match what the order key
+    # yields — a forged/stale token surfaces as bad_cursor, not as a
+    # TypeError mid-sort.
+    if "okv" not in token:
+        raise CommandError(
+            "bad_cursor",
+            "cursor carries no keyset boundary for ordered "
+            "pagination (offset cursors are no longer issued)")
+    value = token["okv"]
+    if not isinstance(value, (str, int, float)) \
+            or isinstance(value, bool):
+        raise CommandError("bad_cursor", "unorderable cursor boundary")
+    spec.boundary = (value, doc_id)
+    return spec
 
 
-def assemble_page(window: List, spec: PageSpec
-                  ) -> Tuple[List, Optional[str]]:
-    """Cut the probed window into a page and its resume cursor.
+def degraded(missing: List[int]) -> Optional[Dict]:
+    """The ``degraded`` reply marker of a read that lost the
+    ``missing`` shards (None when it lost none)."""
+    if not missing:
+        return None
+    return {"missing_shards": sorted(set(missing))}
 
-    ``window`` holds up to ``spec.limit + 1`` hits — a full probe
-    means a next page exists and earns a cursor keyed on the last
-    served hit.
-    """
-    page = window[:spec.limit]
-    next_cursor: Optional[str] = None
-    if len(window) > spec.limit and page:
-        last = page[-1]
+
+class Reads(Protocol):
+    """One read command's execute phase: the handle an engine's
+    ``reads(session, query payload)`` returns, or ``unknown_session``.
+    The query is parsed when a method needs it."""
+
+    def pages(self, command: P.RunQuery, spec: PageSpec, needed: int,
+              want_total: bool) -> Tuple[Iterator[P.Hit], Callable,
+                                         List[int]]:
+        """The matches in page order past the cursor (at least
+        ``needed`` when there are), a callable counting them (None
+        without ``want_total``) and the shards lost, those two final
+        once the matches are consumed."""
+
+    def size(self) -> int:
+        """The number of matching documents."""
+
+    def patterns(self, support: int,
+                 max_length: int) -> List[SequentialPattern]:
+        """The matches' patterns of at most ``max_length`` states held
+        by ``support`` documents, in ``prefixspan`` order."""
+
+    def planning_view(self) -> object:
+        """The store, or statistics standing in for it."""
+
+
+def _run_query(engine, command: P.RunQuery) -> P.Response:
+    reads = engine.reads(command.session, command.query)
+    spec = route_page(command)
+    # The offset applies to every page but a natural-order resume,
+    # whose cursor holds its position.  Probe one past the page: a
+    # full probe means a next page exists and earns a cursor keyed on
+    # the last hit served.
+    skip = spec.offset if spec.order_by is not None \
+        or command.cursor is None else 0
+    needed = skip + spec.limit + 1
+    # The total is counted once per pagination stream, on its
+    # cursor-less first page.
+    hits, total, missing = reads.pages(
+        command, spec, needed,
+        command.include_total and command.cursor is None)
+    window: List[P.Hit] = []
+    try:  # counted: ``needed`` may pass sys.maxsize
+        for seen, hit in enumerate(hits, 1):
+            if seen > skip:
+                window.append(hit)
+            if seen >= needed:
+                break
+    except TypeError:
+        raise CommandError(
+            "bad_cursor", "cursor boundary does not order against this key")
+    page, next_cursor = window[:spec.limit], None
+    if len(window) > spec.limit:
+        token = {"f": spec.fingerprint, "k": page[-1].doc_id}
         if spec.order_by is not None:
-            token = {"f": spec.fingerprint,
-                     "okv": ORDER_KEYS[spec.order_by](last),
-                     "k": last.doc_id}
-        else:
-            token = {"f": spec.fingerprint, "k": last.doc_id}
+            token["okv"] = ORDER_KEYS[spec.order_by](page[-1])
         next_cursor = P.encode_cursor(token)
-    return page, next_cursor
+    return P.QueryPage(hits=page, total=total(), next_cursor=next_cursor,
+                       degraded=degraded(missing))
 
 
-def _keyset_view(results: ResultSet, order_by: str,
-                 descending: bool, boundary: Optional[Tuple],
-                 count: int) -> List:
-    """The first ``count`` explicitly ordered hits strictly past a
-    keyset boundary.
+def _mine_patterns(engine, command: P.MinePatterns) -> P.Response:
+    reads = engine.reads(command.session, command.query)
+    check_numbers(command)
+    try:
+        patterns = mine_patterns(reads, command.min_support,
+                                 command.max_length)
+    except ValueError as error:
+        raise CommandError("bad_request", str(error))
+    return P.PatternList(patterns=patterns)
+
+
+def _explain(engine, command: P.Explain) -> P.Response:
+    view = engine.reads(command.session, command.query).planning_view()
+    return P.Explanation(plan=parse_query(view, command.query).explain())
+
+
+#: The read commands, one implementation for both engines.
+READ_HANDLERS: Dict[Type[P.Command], Callable] = {
+    P.RunQuery: _run_query,
+    P.MinePatterns: _mine_patterns,
+    P.Explain: _explain,
+}
+
+
+def _keyset_hits(hits: Iterable, spec: PageSpec,
+                 count: int) -> Iterator:
+    """The first ``count`` explicitly ordered hits strictly past the
+    page's keyset boundary.
 
     The sort key is the composite ``(order-key value, doc_id)`` with
     *both* components following the sort direction, so the boundary —
@@ -458,118 +514,105 @@ def _keyset_view(results: ResultSet, order_by: str,
     are unique, so a bounded selection of ``count`` hits equals the
     same-length prefix of the full sort.
 
-    Raises:
-        TypeError: when the boundary value does not order against
-            the key (a forged or stale cursor).
+    A generator, so a boundary value that does not order against the
+    key (a forged or stale cursor) raises ``TypeError`` where the
+    handler consumes it.
     """
-    key_fn = ORDER_KEYS[order_by]
-    keyed = [((key_fn(hit), hit.doc_id), hit) for hit in results]
+    key_fn = ORDER_KEYS[spec.order_by]
+    keyed = [((key_fn(hit), hit.doc_id), hit) for hit in hits]
+    boundary = spec.boundary
     if boundary is not None:
-        if descending:
+        if spec.descending:
             keyed = [pair for pair in keyed if pair[0] < boundary]
         else:
             keyed = [pair for pair in keyed if pair[0] > boundary]
-    select = heapq.nlargest if descending else heapq.nsmallest
-    return [hit for _, hit in select(count, keyed, key=itemgetter(0))]
+    select = heapq.nlargest if spec.descending else heapq.nsmallest
+    for _, hit in select(count, keyed, key=itemgetter(0)):
+        yield hit
 
 
-def _run_query(registry: SessionRegistry,
-               command: P.RunQuery) -> P.Response:
-    # -- route: validate shape, resolve ordering, decode the cursor
-    session = _session(registry, command.session)
-    spec = route_page(command)
-    query = parse_query(session.workbench.store, command.query)
-    boundary, last_doc_id = decode_page_cursor(command, spec)
+class CorpusReads:
+    """The mining half of :class:`Reads` over one corpus in process:
+    its size and patterns from one :class:`SequenceCorpus`, resolved
+    (a query planned and its rows gathered) by the first reader."""
 
-    # -- execute: one probed window from the single local store
-    if last_doc_id is not None:
-        # Resume below the result-set layer: the plan drops candidate
-        # ids <= the boundary *before* fetching/residual-checking, so
-        # a full cursor walk costs O(N), not O(N²/page).
-        resume_after = last_doc_id
-        view = ResultSet(
-            lambda: query.plan().iter_results(
-                start_after=resume_after))
-    elif spec.order_by is not None:
-        try:
-            hits_past = _keyset_view(
-                query.execute(), spec.order_by, command.descending,
-                boundary, spec.offset + spec.limit + 1)
-        except TypeError:
-            raise CommandError(
-                "bad_cursor",
-                "cursor boundary does not order against this "
-                "key")
-        view = ResultSet(lambda: iter(hits_past))
-        if spec.offset:
-            view = view.offset(spec.offset)
-    elif spec.offset:
-        view = query.execute().offset(spec.offset)
-    else:
-        view = query.execute()
-    # Probe one past the page: a full probe means a next page exists.
-    window = view.limit(spec.limit + 1).to_list()
+    def __init__(self, corpus: Corpus) -> None:
+        self.corpus = corpus
 
-    # -- merge: assemble the page and its resume cursor
-    page, next_cursor = assemble_page(window, spec)
+    @functools.cached_property
+    def sequences(self) -> SequenceCorpus:
+        """The corpus's rows of the store's sequence column."""
+        return SequenceCorpus.of(self.corpus)
 
-    # The total costs a second plan execution when residuals remain,
-    # so it is computed once per pagination stream (the cursor-less
-    # first page), not per page.
-    total = query.count() if command.include_total \
-        and command.cursor is None else None
-    hits = [P.Hit(doc_id=hit.doc_id, trajectory=hit.trajectory)
-            for hit in page]
-    return P.QueryPage(hits=hits, total=total,
-                       next_cursor=next_cursor)
+    def size(self) -> int:
+        return len(self.sequences)
+
+    def patterns(self, support: int,
+                 max_length: int) -> List[SequentialPattern]:
+        return prefixspan(self.sequences, support, max_length)
 
 
-def _explain(registry: SessionRegistry,
-             command: P.Explain) -> P.Response:
-    session = _session(registry, command.session)
-    return P.Explanation(plan=parse_query(
-        session.workbench.store, command.query).explain())
+class StoreReads(CorpusReads):
+    """A registry's :class:`Reads`, and the corpus of each of its
+    reads: one store, one parse, one plan and one sequence corpus per
+    command."""
 
+    def __init__(self, registry: SessionRegistry, session: str,
+                 query: Optional[Dict]) -> None:
+        self.session = _session(registry, session)
+        self._store = self.session.workbench.store
+        self._payload = query
 
-def _mine_patterns(registry: SessionRegistry,
-                   command: P.MinePatterns) -> P.Response:
-    session = _session(registry, command.session)
-    check_numbers(command)
-    try:
-        patterns = patterns_over(
-            _sequence_corpus(session, command.query),
-            command.min_support, command.max_length)
-    except ValueError as error:
-        raise CommandError("bad_request", str(error))
-    return P.PatternList(patterns=patterns)
+    @functools.cached_property
+    def corpus(self) -> Corpus:
+        """The store, or the query payload parsed over it."""
+        if self._payload is None:
+            return self._store
+        return parse_query(self._store, self._payload)
+
+    def pages(self, command: P.RunQuery, spec: PageSpec, needed: int,
+              want_total: bool) -> Tuple[Iterator[P.Hit], Callable,
+                                         List[int]]:
+        plan = Query(self._store, spec.expression).plan()
+        if spec.last_doc_id is not None:
+            # Resume below the result-set layer: the plan drops ids
+            # <= the boundary *before* fetching/residual-checking
+            # them, so a full cursor walk costs O(N), not O(N²/page).
+            hits = plan.iter_results(start_after=spec.last_doc_id)
+        elif spec.order_by is not None:
+            hits = _keyset_hits(plan.iter_results(), spec, needed)
+        else:
+            hits = plan.iter_results()
+        return ((P.Hit(doc_id=hit.doc_id, trajectory=hit.trajectory)
+                 for hit in hits),
+                plan.count if want_total else lambda: None, [])
+
+    def planning_view(self) -> TrajectoryStore:
+        return self._store
 
 
 def _similarity(registry: SessionRegistry,
                 command: P.Similarity) -> P.Response:
-    session = _session(registry, command.session)
-    matrix = similarity_over(session.workbench.space,
-                             _sequence_corpus(session, command.query))
-    return P.SimilarityMatrix(matrix=matrix)
+    reads = StoreReads(registry, command.session, command.query)
+    return P.SimilarityMatrix(matrix=similarity_over(
+        reads.session.workbench.space, reads.sequences))
 
 
 def _flow(registry: SessionRegistry, command: P.Flow) -> P.Response:
-    session = _session(registry, command.session)
-    return P.FlowList(
-        balances=flow_balances(_corpus(session, command.query)))
+    return P.FlowList(balances=flow_balances(
+        StoreReads(registry, command.session, command.query).corpus))
 
 
 def _sequences(registry: SessionRegistry,
                command: P.Sequences) -> P.Response:
-    session = _session(registry, command.session)
-    return P.SequenceList(
-        sequences=state_sequences(_corpus(session, command.query)))
+    return P.SequenceList(sequences=state_sequences(
+        StoreReads(registry, command.session, command.query).corpus))
 
 
 def _summary(registry: SessionRegistry,
              command: P.Summary) -> P.Response:
-    session = _session(registry, command.session)
-    return P.SummaryStats(
-        stats=corpus_summary(_corpus(session, command.query)))
+    return P.SummaryStats(stats=corpus_summary(
+        StoreReads(registry, command.session, command.query).corpus))
 
 
 def _ingest_documents(registry: SessionRegistry,
@@ -602,11 +645,11 @@ def _count_patterns(registry: SessionRegistry,
                     command: P.CountPatterns) -> P.Response:
     from repro.mining.prefixspan import pattern_supports
 
-    session = _session(registry, command.session)
+    reads = StoreReads(registry, command.session, command.query)
     check_patterns(command)
-    corpus = _sequence_corpus(session, command.query)
-    supports = pattern_supports(corpus, command.patterns)
-    return P.PatternSupports(supports=supports, sequences=len(corpus))
+    supports = pattern_supports(reads.sequences, command.patterns)
+    return P.PatternSupports(supports=supports,
+                             sequences=len(reads.sequences))
 
 
 def _similarity_block(registry: SessionRegistry,
@@ -624,8 +667,8 @@ def _similarity_block(registry: SessionRegistry,
 
 def _summary_parts(registry: SessionRegistry,
                    command: P.SummaryParts) -> P.Response:
-    session = _session(registry, command.session)
-    return _parts_info(summary_parts(_corpus(session, command.query)))
+    return _parts_info(summary_parts(
+        StoreReads(registry, command.session, command.query).corpus))
 
 
 def _store_stats(registry: SessionRegistry,
@@ -869,9 +912,6 @@ _HANDLERS: Dict[Type[P.Command], Callable] = {
     P.JobStatus: job_status,
     P.ListSessions: _list_sessions,
     P.DropSession: _drop_session,
-    P.RunQuery: _run_query,
-    P.Explain: _explain,
-    P.MinePatterns: _mine_patterns,
     P.Similarity: _similarity,
     P.Flow: _flow,
     P.Sequences: _sequences,
@@ -883,6 +923,7 @@ _HANDLERS: Dict[Type[P.Command], Callable] = {
     P.StoreStats: _store_stats,
     P.SaveSession: _save_session,
     P.RestoreSession: _restore_session,
+    **READ_HANDLERS,
     **STREAM_HANDLERS,
 }
 

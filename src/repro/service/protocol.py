@@ -290,11 +290,15 @@ class Command(_Message):
     remaining time via :meth:`with_deadline`.  ``None`` (the default)
     means unbounded, and is not serialized, keeping deadline-less
     wire bytes identical to protocol revision 1 clients.
+
+    ``allow_partial`` is False for every command but the reads that
+    declare it as a field (opting into degraded sharded results).
     """
 
     _tag = "command"
     idempotent: bool = False
     deadline_ms: Optional[int] = None
+    allow_partial: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -110,6 +110,17 @@ class BuildJob:
             self.job_id, self.session, self._state.value)
 
 
+def session_state(building: int, failed: bool, size: int) -> str:
+    """``building`` / ``ready`` / ``failed`` / ``empty``: the state of
+    a session with ``building`` builds running, the last one
+    ``failed`` or not, and ``size`` documents (either engine's)."""
+    if building:
+        return "building"
+    if failed:
+        return "failed"
+    return "ready" if size else "empty"
+
+
 class Session:
     """One named dataset: a workbench plus build bookkeeping.
 
@@ -160,11 +171,8 @@ class Session:
     @property
     def state(self) -> str:
         """``building`` / ``ready`` / ``failed`` / ``empty``."""
-        if self._building:
-            return "building"
-        if self._failed:
-            return "failed"
-        return "ready" if len(self.workbench.store) else "empty"
+        return session_state(self._building, self._failed,
+                             len(self.workbench.store))
 
     def __repr__(self) -> str:
         return "Session({!r}, {} trajectories, {})".format(
@@ -580,6 +588,11 @@ class SessionRegistry:
         from repro.service.executor import execute_command
 
         return execute_command(self, command)
+
+    def reads(self, session: str, query: Optional[Dict]):
+        """One read command's :class:`~repro.service.executor.StoreReads`."""
+        from repro.service.executor import StoreReads
+        return StoreReads(self, session, query)
 
     def cache_stamp(self, session: str) -> Optional[Tuple]:
         """``(name, store serial, store version, space generation)``

@@ -10,26 +10,26 @@ change.
 Behind that surface every session is split across N shard executors —
 in-process registries or remote ``repro serve`` workers — by
 consistent hashing of **global document ids** (:mod:`repro.shard
-.ring`).  The coordinator shares the executor's command dispatch,
-validators and route/merge phases (:func:`~repro.service.executor
-.dispatch`, :func:`~repro.service.executor.route_page` and friends),
-so validation, cursors, page shapes and error strings are
-byte-identical to the single-process engine; only the execute phase
-differs:
+.ring`).  The coordinator runs the executor's dispatch, validators and
+merges, and the executor's own handlers of ``RunQuery``,
+``MinePatterns``, ``Explain`` (:data:`~repro.service.executor
+.READ_HANDLERS`) and the stream commands, so validation, cursors,
+page shapes and error strings are byte-identical to the single-process
+engine by construction; only the execute phase differs:
 
 * ``Summary`` / ``SummaryParts`` / ``Flow`` / ``CountPatterns`` /
   ``StoreStats`` — the declared single-scatter reads
   (:data:`~repro.service.executor.SCATTER_READS`): one partial per
   shard, combined by the same merge the executor's own results go
   through;
-* ``RunQuery`` — per-shard cursor-translated page streams, k-way
-  merged on ``(order key, global doc id)`` (:mod:`repro.shard.merge`);
-* ``Explain`` — the merged ``StoreStats`` of the logical corpus,
-  planned against a stats-only store proxy;
-* ``MinePatterns`` — count-distribution PrefixSpan: local mining at a
-  pigeonhole-lowered threshold, then an exact ``CountPatterns``
-  recount of each surviving candidate on only the shards that did
-  not mine it;
+* ``RunQuery`` / ``MinePatterns`` / ``Explain`` — the read handle
+  :class:`_ShardReads`: per-shard cursor-translated page streams,
+  k-way merged on ``(order key, global doc id)``
+  (:mod:`repro.shard.merge`); count-distribution PrefixSpan, mining
+  every shard at a pigeonhole-lowered threshold, then an exact
+  ``CountPatterns`` recount of each surviving candidate on only the
+  shards that did not mine it; and the merged ``StoreStats`` of the
+  logical corpus, planned against a stats-only store proxy;
 * ``Similarity`` — the merged sequence list scattered as
   ``SimilarityBlock`` row ranges and stitched;
 * ``BuildDataset`` — the pipeline runs once on the coordinator with a
@@ -78,26 +78,23 @@ from repro.resilience.replicas import ShardTarget, is_shard_loss
 from repro.service import protocol as P
 from repro.service.executor import (
     MAX_PAGE_SIZE,
+    READ_HANDLERS,
     SCATTER_READS,
     STREAM_HANDLERS,
     CommandError,
     PageSpec,
-    assemble_page,
-    check_numbers,
     check_row_block,
-    decode_page_cursor,
+    degraded,
     dispatch,
     job_info,
     job_status,
-    parse_query,
-    route_page,
-    support_threshold,
     unknown_session,
 )
 from repro.service.registry import (
     BuildJob,
     JobTable,
     check_build_source,
+    session_state,
 )
 from repro.shard.merge import merge_sorted
 from repro.shard.ring import (
@@ -139,12 +136,9 @@ class _CoordSession:
 
     @property
     def state(self) -> str:
-        """Mirrors :attr:`repro.service.registry.Session.state`."""
-        if self._building:
-            return "building"
-        if self._failed:
-            return "failed"
-        return "ready" if self.doc_count else "empty"
+        """The session's :func:`~repro.service.registry.session_state`."""
+        return session_state(self._building, self._failed,
+                             self.doc_count)
 
 
 class _StatsProxy:
@@ -171,17 +165,11 @@ class _StatsProxy:
     def __len__(self) -> int:
         return self._doc_count
 
-    def all_ids(self):
-        return frozenset(range(self._doc_count))
-
     def state_cardinalities(self) -> Dict[str, int]:
         return dict(self._states)
 
     def annotation_cardinalities(self) -> Dict:
         return dict(self._annotations)
-
-    def mo_cardinalities(self) -> Dict[str, int]:
-        return dict(self._mos)
 
     def ids_of_mo(self, mo_id: str):
         return range(self._mos.get(str(mo_id), 0))
@@ -636,8 +624,8 @@ class ShardCoordinator:
                                        for episode in episodes])
 
     def stored_documents(self, session: str):
-        merged, _ = self._merged_hits(self._held(session), None)
-        return (hit.trajectory for hit in merged)
+        return (hit.trajectory for hit
+                in self._merged_hits(self._held(session), None)[0])
 
     # ------------------------------------------------------------------
     # ingestion (global-id assignment + routed fan-out)
@@ -800,9 +788,7 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # RunQuery: translated cursors + k-way merge
     # ------------------------------------------------------------------
-    def _shard_boundary(self, spec: PageSpec, boundary: Optional[Tuple],
-                        last_doc_id: Optional[int],
-                        globals_list: List[int]
+    def _shard_boundary(self, spec: PageSpec, globals_list: List[int]
                         ) -> Tuple[Optional[str], Optional[Callable]]:
         """Translate the global resume boundary into shard terms.
 
@@ -817,16 +803,19 @@ class ShardCoordinator:
         it (``bisect``) — documents ingested after the cursor was
         issued only ever extend the mapping past the boundary.
         """
-        if boundary is None and last_doc_id is None:
-            return None, None
         if spec.order_by is None:
+            if spec.last_doc_id is None:
+                return None, None
             # Natural order: resume past the last *global* id served.
-            local = bisect.bisect_right(globals_list, last_doc_id) - 1
+            local = bisect.bisect_right(globals_list,
+                                        spec.last_doc_id) - 1
             if local < 0:
                 return None, None  # every shard doc is past the boundary
             return P.encode_cursor({"f": spec.fingerprint,
                                     "k": local}), None
-        value, gid = boundary
+        if spec.boundary is None:
+            return None, None
+        value, gid = spec.boundary
         if spec.order_by == "doc_id":
             if value == gid:
                 # A genuine doc_id keyset token (okv == id): localize
@@ -911,34 +900,22 @@ class ShardCoordinator:
                     return
                 raise
 
-    def _scatter_pages(self, session: _CoordSession,
-                       query: Optional[Dict], limit: int,
-                       order_by: Optional[str], descending: bool,
-                       want_total: bool,
+    def _scatter_pages(self, session: _CoordSession, first: P.RunQuery,
                        spec: Optional[PageSpec] = None,
-                       boundary: Optional[Tuple] = None,
-                       last_doc_id: Optional[int] = None,
                        partial: bool = False
-                       ) -> Tuple[Iterator, List[Optional[int]],
-                                  List[int]]:
-        """Scatter the first page to every shard and return the
-        merged hit iterator, the per-shard totals slots, and the
-        missing-shard list (mutated lazily as the iterator is
-        consumed — read it only after the merge is exhausted)."""
+                       ) -> Tuple[Iterator[P.Hit], Callable, List[int]]:
+        """Send every shard the page ``first`` from its translated
+        cursor: the k-way merged hits, then a callable summing their
+        totals and the missing shards (both filled as the merge is
+        consumed)."""
         session.topology.extend_to(session.doc_count)
         commands: List[P.RunQuery] = []
         filters: List[Optional[Callable]] = []
         for shard in range(self.shard_count):
-            cursor: Optional[str] = None
-            gid_filter: Optional[Callable] = None
-            if spec is not None:
-                cursor, gid_filter = self._shard_boundary(
-                    spec, boundary, last_doc_id,
-                    session.topology.globals_of(shard))
-            commands.append(P.RunQuery(
-                session=session.name, query=query, limit=limit,
-                cursor=cursor, offset=0, order_by=order_by,
-                descending=descending, include_total=want_total))
+            cursor, gid_filter = (None, None) if spec is None \
+                else self._shard_boundary(
+                    spec, session.topology.globals_of(shard))
+            commands.append(replace(first, cursor=cursor))
             filters.append(gid_filter)
         missing: List[int] = []
         first_pages = self._scatter(commands, partial=partial,
@@ -952,70 +929,23 @@ class ShardCoordinator:
                                missing=missing if partial else None)
             for shard in range(self.shard_count)
             if first_pages[shard] is not None]
-        return (merge_sorted(streams, descending=descending), totals,
-                missing)
-
-    @staticmethod
-    def _degraded(missing: List[int]) -> Optional[Dict]:
-        """The ``degraded`` response marker (None when whole)."""
-        if not missing:
-            return None
-        return {"missing_shards": sorted(set(missing))}
-
-    def _run_query(self, command: P.RunQuery) -> P.Response:
-        # -- route: the executor's shared validation, verbatim
-        session = self._held(command.session)
-        spec = route_page(command)
-        parse_query(None, command.query)
-        boundary, last_doc_id = decode_page_cursor(command, spec)
-
-        # -- execute: translated per-shard streams, k-way merged.
-        # The executor applies ``offset`` on ordered pages and on
-        # cursor-less natural pages, but never on a natural-order
-        # resume — replicated here so the skip count matches.
-        skip = spec.offset if (spec.order_by is not None
-                               or command.cursor is None) else 0
-        needed = skip + spec.limit + 1
-        want_total = command.include_total and command.cursor is None
-        merged, totals, missing = self._scatter_pages(
-            session, command.query,
-            min(MAX_PAGE_SIZE, needed),
-            command.order_by, command.descending, want_total,
-            spec=spec, boundary=boundary, last_doc_id=last_doc_id,
-            partial=command.allow_partial)
-        window: List[P.Hit] = []
-        try:
-            for hit in merged:
-                window.append(hit)
-                if len(window) >= needed:
-                    break
-        except TypeError:
-            raise CommandError(
-                "bad_cursor",
-                "cursor boundary does not order against this key")
-
-        # -- merge: the executor's shared page assembly, verbatim
-        page, next_cursor = assemble_page(window[skip:], spec)
-        total = sum(count or 0 for count in totals) if want_total \
-            else None
-        return P.QueryPage(hits=page, total=total,
-                           next_cursor=next_cursor,
-                           degraded=self._degraded(missing))
+        return (merge_sorted(streams, descending=first.descending),
+                lambda: sum(count or 0 for count in totals)
+                if first.include_total else None, missing)
 
     def _merged_hits(self, session: _CoordSession,
                      query: Optional[Dict],
                      partial: bool = False
-                     ) -> Tuple[Iterator[P.Hit], List[int]]:
+                     ) -> Tuple[Iterator[P.Hit], Callable, List[int]]:
         """Every matching hit in global doc-id order (the corpus
-        stream behind the mining commands) plus the lazily filled
-        missing-shard list."""
-        merged, _, missing = self._scatter_pages(
-            session, query, MAX_PAGE_SIZE, None, False, False,
-            partial=partial)
-        return merged, missing
+        stream behind ``Similarity``, ``Sequences`` and stream
+        recovery)."""
+        return self._scatter_pages(session, P.RunQuery(
+            session=session.name, query=query, limit=MAX_PAGE_SIZE,
+            include_total=False), partial=partial)
 
     # ------------------------------------------------------------------
-    # the single-scatter reads, Explain and mining
+    # the single-scatter reads, the read handle, Similarity, Sequences
     # ------------------------------------------------------------------
     def _scatter_read(self, command: P.Command) -> P.Response:
         """A declared single-scatter read: the command's partial on
@@ -1028,79 +958,22 @@ class ShardCoordinator:
         missing: List[int] = []
         replies = self._scatter(
             [partial(command)] * self.shard_count,
-            partial=getattr(command, "allow_partial", False),
+            partial=command.allow_partial,
             missing=missing)
         response = merge([reply for reply in replies
                           if reply is not None])
         if missing:
-            response = replace(response,
-                               degraded=self._degraded(missing))
+            response = replace(response, degraded=degraded(missing))
         return response
 
-    def _explain(self, command: P.Explain) -> P.Response:
-        stats = self._scatter_read(P.StoreStats(session=command.session))
-        query = parse_query(_StatsProxy(stats), command.query)
-        return P.Explanation(plan=query.explain())
-
-    def _mine_patterns(self, command: P.MinePatterns) -> P.Response:
-        # The executor's order: the session, then the field types.
-        self._held(command.session)
-        check_numbers(command)
-        count = P.CountPatterns(session=command.session,
-                                query=command.query)
-        total = self._scatter_read(count).sequences
-        if total == 0:
-            # patterns_over returns [] for an empty corpus before any
-            # range validation — mirrored for byte parity.
-            return P.PatternList(patterns=[])
-        if command.max_length < 1:
-            raise CommandError("bad_request",
-                               "max_length must be at least 1")
-        support = support_threshold(command.min_support, total)
-        # Pigeonhole: a pattern with global support >= S has local
-        # support >= ceil(S / N) on at least one shard, so mining
-        # every shard at the lowered threshold finds every candidate.
-        local_support = -(-support // self.shard_count)
-        mined = [{tuple(pattern.sequence): pattern.support
-                  for pattern in reply.patterns}
-                 for reply in self._scatter_same(P.MinePatterns(
-                     session=command.session, query=command.query,
-                     min_support=local_support,
-                     max_length=command.max_length))]
-        # Each shard's list is complete at the lowered threshold: a
-        # mined support is exact, and a candidate a shard did not mine
-        # has at most local_support - 1 there (none when that is 0).
-        # A candidate whose ceiling falls short of S is dropped; the
-        # rest are recounted only on the shards that did not mine
-        # them.
-        ceiling = local_support - 1
-        supports = {candidate: sum(found.get(candidate, 0)
-                                   for found in mined)
-                    for candidate in sorted(set().union(*mined))
-                    if sum(found.get(candidate, ceiling)
-                           for found in mined) >= support}
-        recounts = [[candidate for candidate in supports
-                     if candidate not in found] if ceiling else []
-                    for found in mined]
-        replies = self._scatter([
-            replace(count, patterns=[list(candidate)
-                                     for candidate in todo])
-            if todo else None for todo in recounts])
-        for todo, reply in zip(recounts, replies):
-            if todo:
-                for candidate, found in zip(todo, reply.supports):
-                    supports[candidate] += found
-        patterns = [SequentialPattern(sequence=candidate, support=found)
-                    for candidate, found in supports.items()
-                    if found >= support]
-        patterns.sort(key=lambda p: (-p.support, p.sequence))
-        return P.PatternList(patterns=patterns)
+    def reads(self, session: str, query: Optional[Dict]) -> "_ShardReads":
+        """One read command's handle on the shards."""
+        return _ShardReads(self, self._held(session), query)
 
     def _similarity(self, command: P.Similarity) -> P.Response:
         session = self._held(command.session)
-        merged, _ = self._merged_hits(session, command.query)
-        sequences = [hit.trajectory.distinct_state_sequence()
-                     for hit in merged]
+        sequences = [hit.trajectory.distinct_state_sequence() for hit
+                     in self._merged_hits(session, command.query)[0]]
         size = len(sequences)
         if size == 0:
             return P.SimilarityMatrix(matrix=[])
@@ -1131,12 +1004,85 @@ class ShardCoordinator:
 
     def _sequences(self, command: P.Sequences) -> P.Response:
         session = self._held(command.session)
-        merged, missing = self._merged_hits(
+        hits, _, missing = self._merged_hits(
             session, command.query, partial=command.allow_partial)
         sequences = [hit.trajectory.distinct_state_sequence()
-                     for hit in merged]
+                     for hit in hits]
         return P.SequenceList(sequences=sequences,
-                              degraded=self._degraded(missing))
+                              degraded=degraded(missing))
+
+
+class _ShardReads:
+    """The coordinator's :class:`~repro.service.executor.Reads`: pages
+    k-way merged from the shards' translated page streams, the size
+    from a ``CountPatterns`` round, patterns mined at the pigeonhole
+    threshold and recounted, and plans over the shards' merged
+    ``StoreStats``."""
+
+    def __init__(self, coordinator: ShardCoordinator,
+                 session: _CoordSession, query: Optional[Dict]) -> None:
+        self._coordinator = coordinator
+        self._session = session
+        self._query = query
+        self._count = P.CountPatterns(session=session.name, query=query)
+
+    def pages(self, command: P.RunQuery, spec: PageSpec, needed: int,
+              want_total: bool
+              ) -> Tuple[Iterator[P.Hit], Callable, List[int]]:
+        return self._coordinator._scatter_pages(self._session, P.RunQuery(
+            session=self._session.name, query=self._query,
+            limit=min(MAX_PAGE_SIZE, needed), order_by=command.order_by,
+            descending=command.descending, include_total=want_total),
+            spec, command.allow_partial)
+
+    def size(self) -> int:
+        return self._coordinator._scatter_read(self._count).sequences
+
+    def patterns(self, support: int,
+                 max_length: int) -> List[SequentialPattern]:
+        coordinator = self._coordinator
+        # Pigeonhole: a pattern with global support >= S has local
+        # support >= ceil(S / N) on at least one shard, so mining
+        # every shard at the lowered threshold finds every candidate.
+        local_support = -(-support // coordinator.shard_count)
+        mined = [{tuple(pattern.sequence): pattern.support
+                  for pattern in reply.patterns}
+                 for reply in coordinator._scatter_same(P.MinePatterns(
+                     session=self._session.name, query=self._query,
+                     min_support=local_support,
+                     max_length=max_length))]
+        # Each shard's list is complete at the lowered threshold: a
+        # mined support is exact, and a candidate a shard did not mine
+        # has at most local_support - 1 there (none when that is 0).
+        # A candidate whose ceiling falls short of S is dropped; the
+        # rest are recounted only on the shards that did not mine
+        # them.
+        ceiling = local_support - 1
+        supports = {candidate: sum(found.get(candidate, 0)
+                                   for found in mined)
+                    for candidate in sorted(set().union(*mined))
+                    if sum(found.get(candidate, ceiling)
+                           for found in mined) >= support}
+        recounts = [[candidate for candidate in supports
+                     if candidate not in found] if ceiling else []
+                    for found in mined]
+        replies = coordinator._scatter([
+            replace(self._count, patterns=[list(candidate)
+                                           for candidate in todo])
+            if todo else None for todo in recounts])
+        for todo, reply in zip(recounts, replies):
+            if todo:
+                for candidate, found in zip(todo, reply.supports):
+                    supports[candidate] += found
+        patterns = [SequentialPattern(sequence=candidate, support=found)
+                    for candidate, found in supports.items()
+                    if found >= support]
+        patterns.sort(key=lambda p: (-p.support, p.sequence))
+        return patterns
+
+    def planning_view(self) -> _StatsProxy:
+        return _StatsProxy(self._coordinator._scatter_read(
+            P.StoreStats(session=self._session.name)))
 
 
 class _FanoutSinkStage(Stage):
@@ -1167,14 +1113,12 @@ _HANDLERS: Dict[type, Callable] = {
     P.JobStatus: job_status,
     P.ListSessions: ShardCoordinator._list_sessions,
     P.DropSession: ShardCoordinator._drop_session,
-    P.RunQuery: ShardCoordinator._run_query,
-    P.Explain: ShardCoordinator._explain,
-    P.MinePatterns: ShardCoordinator._mine_patterns,
     P.Similarity: ShardCoordinator._similarity,
     P.Sequences: ShardCoordinator._sequences,
     P.IngestDocuments: ShardCoordinator._ingest_documents,
     P.SimilarityBlock: ShardCoordinator._similarity_block,
     P.SaveSession: ShardCoordinator._save_session,
     P.RestoreSession: ShardCoordinator._restore_session,
+    **READ_HANDLERS,
     **STREAM_HANDLERS,
 }

@@ -32,6 +32,8 @@ the estimates that drove the ordering.
 
 from __future__ import annotations
 
+import sys
+from itertools import islice
 from typing import Callable, Dict, FrozenSet, Iterator, List, \
     Optional, Tuple
 
@@ -263,11 +265,16 @@ class Plan:
         """True when counting never needs to fetch a trajectory."""
         return not self.residuals
 
-    def count(self) -> int:
-        """Matching-document count, short-circuiting when possible."""
+    def count(self, limit: Optional[int] = None) -> int:
+        """Matching-document count, capped at ``limit`` when given:
+        index-only when no residuals remain, else the residual pass
+        stops at the cap."""
         if self.exact_count_available:
-            return len(self.candidate_ids())
-        return sum(1 for _ in self.iter_results())
+            found = len(self.candidate_ids())
+            return found if limit is None else min(found, limit)
+        if limit is not None:
+            limit = min(limit, sys.maxsize)  # islice's largest stop
+        return sum(1 for _ in islice(self.iter_results(), limit))
 
     def explain(self) -> str:
         """Render the plan as an indented operator tree."""

@@ -132,17 +132,12 @@ class Query:
     def execute(self) -> ResultSet:
         """Run the query; a lazy, re-iterable result stream.
 
-        Hits come out in document-id order; each consumption re-plans,
-        so results reflect the store at that moment.
+        Hits come out in document-id order.  Each consumption re-plans,
+        so results reflect the store at that moment, and plans once: a
+        count is index-only when that plan has no residuals.
         """
-        def source() -> Iterator[StoredTrajectory]:
-            return self.plan().iter_results()
-
-        # One probe plan here; the closures re-plan per consumption
-        # so the view stays live against store updates.
-        if self.plan().exact_count_available:
-            return ResultSet(source, lambda: self.plan().count())
-        return ResultSet(source)
+        return ResultSet(lambda: self.plan().iter_results(),
+                         lambda limit: self.plan().count(limit))
 
     def count(self) -> int:
         """Matching-trajectory count.

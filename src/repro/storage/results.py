@@ -49,13 +49,14 @@ class ResultSet:
     Args:
         source: zero-argument callable producing a fresh iterator of
             hits; called once per consumption.
-        fast_count: optional zero-argument callable returning the
-            exact result count without iterating (the planner provides
-            one when no residual predicates remain).
+        fast_count: optional ``fast_count(limit)`` returning the
+            exact result count, capped at ``limit`` unless that is
+            None, from one consumption of its own (the planner's
+            count: index-only when no residual predicates remain).
     """
 
     def __init__(self, source: Callable[[], Iterator[StoredTrajectory]],
-                 fast_count: Optional[Callable[[], int]] = None) -> None:
+                 fast_count: Optional[Callable[..., int]] = None) -> None:
         self._source = source
         self._fast_count = fast_count
 
@@ -80,7 +81,7 @@ class ResultSet:
     def count(self) -> int:
         """Number of hits; index-only when the plan allows it."""
         if self._fast_count is not None:
-            return self._fast_count()
+            return self._fast_count(None)
         return sum(1 for _ in self)
 
     def to_list(self) -> List[StoredTrajectory]:
@@ -106,7 +107,8 @@ class ResultSet:
         fast = None
         if self._fast_count is not None:
             base = self._fast_count
-            fast = lambda: min(count, base())  # noqa: E731
+            fast = lambda limit: base(  # noqa: E731
+                count if limit is None else min(count, limit))
         return ResultSet(lambda: islice(self._source(), count), fast)
 
     def offset(self, count: int) -> "ResultSet":
@@ -120,22 +122,10 @@ class ResultSet:
         fast = None
         if self._fast_count is not None:
             base = self._fast_count
-            fast = lambda: max(0, base() - count)  # noqa: E731
+            fast = lambda limit: max(0, base(  # noqa: E731
+                None if limit is None else count + limit) - count)
         return ResultSet(lambda: islice(self._source(), count, None),
                          fast)
-
-    def since(self, doc_id: int) -> "ResultSet":
-        """Hits with ``doc_id`` strictly greater than the given id.
-
-        The resume primitive behind the service layer's stable
-        cursors: query execution yields hits in document-id order and
-        the store is insert-only, so "everything after the last id I
-        saw" identifies the same boundary on every consumption — even
-        when new matching trajectories were ingested meanwhile (they
-        only ever append past the boundary).
-        """
-        return ResultSet(lambda: (hit for hit in self._source()
-                                  if hit.doc_id > doc_id))
 
     def order_by(self, key: OrderKey,
                  reverse: bool = False) -> "ResultSet":

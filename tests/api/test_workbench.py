@@ -125,13 +125,12 @@ class TestServiceBinding:
     def test_protocol_path_matches_direct_path(self, workbench):
         """The delegated (command) result equals the direct miner
         call on the same corpus."""
-        from repro.mining.sequences import state_sequences
-        from repro.service.executor import patterns_over
+        from repro.service.executor import CorpusReads, mine_patterns
 
         query = workbench.query(E.min_entries(2))
         via_protocol = workbench.patterns(query, min_support=0.2)
-        direct = patterns_over(
-            state_sequences(query.execute()), min_support=0.2)
+        direct = mine_patterns(CorpusReads(list(query.execute())),
+                               min_support=0.2, max_length=4)
         assert via_protocol == direct
 
     def test_unserializable_query_falls_back(self, workbench):

@@ -20,7 +20,6 @@ from repro.core.trajectory import SemanticTrajectory
 from repro.mining.flow import FlowBalance
 from repro.mining.prefixspan import SequentialPattern, contains_pattern
 from repro.mining.similarity import normalized_edit_similarity
-from repro.service.executor import support_threshold
 
 
 def state_sequences(docs: Iterable[SemanticTrajectory]
@@ -79,17 +78,6 @@ def prefixspan(sequences: Sequence[Sequence[str]], min_support: int,
     grow((), [(index, 0) for index in range(len(distinct))])
     found.sort(key=lambda p: (-p.support, p.sequence))
     return found
-
-
-def patterns_over(sequences: Sequence[Sequence[str]],
-                  min_support: float,
-                  max_length: int) -> List[SequentialPattern]:
-    """The service's ``MinePatterns`` over explicit sequences."""
-    if not sequences:
-        return []
-    return prefixspan(sequences,
-                      support_threshold(min_support, len(sequences)),
-                      max_length)
 
 
 def pattern_supports(sequences: Sequence[Sequence[str]],

@@ -22,6 +22,7 @@ from repro.storage.column import SequenceColumn
 from repro.storage.expr import expr_from_dict
 from repro.storage.store import TrajectoryStore
 from tests.mining import reference_mining as reference
+from tests.service import reference_reads
 
 SESSION = "s"
 #: Not in sorted order, so states arriving later sort before or
@@ -98,7 +99,7 @@ def expected_replies(docs: List[SemanticTrajectory], query, patterns,
         expr = expr_from_dict(query["expr"])
         docs = [doc for doc in docs if expr.matches(doc)]
     sequences = reference.state_sequences(docs)
-    return [P.PatternList(patterns=reference.patterns_over(
+    return [P.PatternList(patterns=reference_reads.patterns_over(
                 sequences, min_support, max_length)).to_json(),
             P.PatternSupports(supports=reference.pattern_supports(
                 sequences, patterns),

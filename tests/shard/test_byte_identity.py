@@ -6,15 +6,19 @@ same hits, same order, same cursors, same totals, same error
 payloads.  Comparison happens at the wire layer
 (:func:`~repro.service.wire.execute_json`), so serialization and
 HTTP-status mapping are part of the contract, not just the Python
-values.
+values.  Both engines run one handler per ``RunQuery`` and
+``MinePatterns``, so the valid paged and mining reads are also held to
+the test-side reference (:mod:`tests.service.reference_reads`).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.service import protocol as P
 from repro.service.wire import execute_json
+from tests.service import reference_reads
 from tests.shard.conftest import SESSION, ingested_coordinator
 
 SHARD_COUNTS = [1, 2, 4]
@@ -36,6 +40,12 @@ def reference(corpus_docs):
     return binding.registry
 
 
+@pytest.fixture(scope="module")
+def oracle(corpus_docs):
+    """The reference store the test-side reads answer from."""
+    return reference_reads.store_of(corpus_docs)
+
+
 #: A query no document matches, and a time window matching some.
 NO_MATCH = {"expr": {"op": "state", "state": "no-such-zone"}}
 WINDOW = {"expr": {"op": "window", "start": 1488000000.0,
@@ -47,19 +57,10 @@ def wire(engine, command):
     return execute_json(engine, command.to_json())
 
 
-COMMANDS = [
-    P.ListSessions(),
-    P.Summary(session=SESSION),
-    P.Summary(session=SESSION,
-              query={"expr": {"op": "state", "state": "zone60886"}}),
-    P.Flow(session=SESSION),
-    P.Sequences(session=SESSION),
-    P.Similarity(session=SESSION),
+#: The valid paged and mining reads.
+READS = [
     P.MinePatterns(session=SESSION, min_support=0.2, max_length=3),
     P.MinePatterns(session=SESSION, min_support=3, max_length=4),
-    P.Explain(session=SESSION),
-    P.Explain(session=SESSION,
-              query={"expr": {"op": "state", "state": "zone60886"}}),
     P.RunQuery(session=SESSION, limit=7),
     P.RunQuery(session=SESSION, limit=7, order_by="duration"),
     P.RunQuery(session=SESSION, limit=7, order_by="duration",
@@ -71,6 +72,28 @@ COMMANDS = [
     P.RunQuery(session=SESSION, limit=4, offset=2),
     P.RunQuery(session=SESSION, limit=500),
     P.RunQuery(session=SESSION, limit=6, include_total=False),
+    pytest.param(P.MinePatterns(session=SESSION, query=NO_MATCH,
+                                max_length=0),
+                 id="MinePatterns-no-match-max-length-0"),
+    pytest.param(P.MinePatterns(session=SESSION, min_support=-1,
+                                max_length=2),
+                 id="MinePatterns-negative-support"),
+    pytest.param(P.RunQuery(session=SESSION, query=NO_MATCH),
+                 id="RunQuery-no-match"),
+]
+
+COMMANDS = [
+    P.ListSessions(),
+    P.Summary(session=SESSION),
+    P.Summary(session=SESSION,
+              query={"expr": {"op": "state", "state": "zone60886"}}),
+    P.Flow(session=SESSION),
+    P.Sequences(session=SESSION),
+    P.Similarity(session=SESSION),
+    P.Explain(session=SESSION),
+    P.Explain(session=SESSION,
+              query={"expr": {"op": "state", "state": "zone60886"}}),
+    *READS,
     # Error paths must relay byte-identically too.
     P.Summary(session="nope"),
     P.RunQuery(session=SESSION, limit=0),
@@ -95,12 +118,6 @@ COMMANDS = [
                  id="Sequences-no-match"),
     pytest.param(P.Similarity(session=SESSION, query=NO_MATCH),
                  id="Similarity-no-match"),
-    pytest.param(P.MinePatterns(session=SESSION, query=NO_MATCH,
-                                max_length=0),
-                 id="MinePatterns-no-match-max-length-0"),
-    pytest.param(P.MinePatterns(session=SESSION, min_support=-1,
-                                max_length=2),
-                 id="MinePatterns-negative-support"),
     pytest.param(P.Explain(session=SESSION,
                            query={"expr": {"op": "no-such-op"}}),
                  id="Explain-bad-expression"),
@@ -128,8 +145,6 @@ COMMANDS = [
                  id="Summary-spent-deadline"),
     pytest.param(P.RunQuery(session=SESSION, offset=-1),
                  id="RunQuery-negative-offset"),
-    pytest.param(P.RunQuery(session=SESSION, query=NO_MATCH),
-                 id="RunQuery-no-match"),
     pytest.param(P.CountPatterns(session=SESSION, query=NO_MATCH,
                                  patterns=[["zone60886"]]),
                  id="CountPatterns-no-match"),
@@ -140,6 +155,14 @@ COMMANDS = [
                          ids=lambda c: type(c).__name__)
 def test_command_bytes_match(reference, sharded, command):
     assert wire(sharded, command) == wire(reference, command)
+
+
+@pytest.mark.parametrize("command", READS,
+                         ids=lambda c: type(c).__name__)
+def test_reads_match_the_reference(reference, sharded, oracle, command):
+    expected = reference_reads.wire(oracle, command)
+    assert wire(reference, command) == expected
+    assert wire(sharded, command) == expected
 
 
 def raw(kind, **fields):
@@ -186,10 +209,12 @@ def test_malformed_numbers_and_patterns_match(reference, sharded, body):
     assert execute_json(sharded, body) == (status, reply)
 
 
-def test_offset_past_maxsize_is_an_empty_page(reference, sharded):
+def test_offset_past_maxsize_is_an_empty_page(reference, sharded,
+                                              oracle):
     body = raw("RunQuery", limit=2, offset=str(10 ** 30))
     status, reply = execute_json(reference, body)
-    assert status == 200
+    assert (status, reply) == reference_reads.wire(
+        oracle, P.command_from_json(body))
     assert json.loads(reply)["hits"] == []
     assert execute_json(sharded, body) == (status, reply)
 
@@ -201,7 +226,7 @@ ORDERINGS = [(None, False), ("doc_id", False), ("doc_id", True),
 
 
 @pytest.mark.parametrize("order_by,descending", ORDERINGS)
-def test_full_cursor_walk_matches(reference, sharded, order_by,
+def test_full_cursor_walk_matches(reference, sharded, oracle, order_by,
                                   descending):
     def walk(engine):
         pages = []
@@ -217,9 +242,32 @@ def test_full_cursor_walk_matches(reference, sharded, order_by,
                 return pages
 
     assert walk(sharded) == walk(reference)
+    assert walk(reference) == reference_reads.walk(oracle, P.RunQuery(
+        session=SESSION, limit=4, order_by=order_by,
+        descending=descending))
 
 
-def test_filtered_walk_matches(reference, sharded):
+@pytest.mark.parametrize("order_by", [None, "t_end"])
+def test_offset_walk_matches_the_reference(reference, sharded, oracle,
+                                           order_by):
+    """The offset skips hits on every ordered page, and on a natural
+    walk only before its first cursor."""
+    first = P.RunQuery(session=SESSION, limit=5, offset=3,
+                       order_by=order_by)
+    expected = reference_reads.walk(oracle, first)
+    for engine in (reference, sharded):
+        pages = []
+        command = first
+        while command.cursor is not None or not pages:
+            status, body = wire(engine, command)
+            assert status == 200
+            pages.append(body)
+            command = replace(command,
+                              cursor=json.loads(body)["next_cursor"])
+        assert pages == expected
+
+
+def test_filtered_walk_matches(reference, sharded, oracle):
     query = {"expr": {"op": "min-entries", "count": 3}}
 
     def walk(engine):
@@ -235,6 +283,9 @@ def test_filtered_walk_matches(reference, sharded):
                 return pages
 
     assert walk(sharded) == walk(reference)
+    assert walk(reference) == [(200, body) for body in reference_reads.walk(
+        oracle, P.RunQuery(session=SESSION, limit=3, query=query,
+                           order_by="duration", descending=True))]
 
 
 def test_resume_after_ingest_matches(corpus_docs):

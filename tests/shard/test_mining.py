@@ -5,8 +5,10 @@ The coordinator mines every shard at the pigeonhole threshold
 candidate whose ceiling (known supports plus ``L - 1`` per shard that
 did not mine it) falls short of ``S``, and recounts the rest only on
 the shards that did not mine them.  A Hypothesis property holds the
-wire bytes to the unsharded executor's over random windows, lengths
-and supports; spies on the shard calls check who gets recounted.
+wire bytes to the unsharded executor's, and both to the test-side
+reference's (:mod:`tests.service.reference_reads`), over random
+windows, lengths and supports; spies on the shard calls check who
+gets recounted.
 """
 
 import threading
@@ -19,6 +21,7 @@ from repro.service import protocol as P
 from repro.service.executor import LocalBinding
 from repro.service.registry import SessionRegistry
 from repro.service.wire import execute_json
+from tests.service import reference_reads
 from tests.shard.conftest import SESSION, ingested_coordinator
 
 DAY = 86400.0
@@ -26,14 +29,15 @@ DAY = 86400.0
 
 @pytest.fixture(scope="module")
 def engines(corpus_docs):
-    """(unsharded registry, {N: coordinator}, corpus time span)."""
+    """(unsharded registry, {N: coordinator}, corpus time span,
+    reference store)."""
     binding = LocalBinding(SessionRegistry())
     binding.call(P.IngestDocuments(session=SESSION, docs=corpus_docs))
     store = binding.registry.get(SESSION).workbench.store
     return (binding.registry,
             {count: ingested_coordinator(count, corpus_docs)
-             for count in (2, 3)},
-            store.time_span())
+             for count in (1, 2, 3)},
+            store.time_span(), reference_reads.store_of(corpus_docs))
 
 
 #: ``2`` is the floor case: local support 1 on two or three shards,
@@ -46,22 +50,22 @@ supports = st.one_of(st.just(2), st.integers(min_value=1, max_value=40),
 @given(start=st.floats(min_value=0.0, max_value=1.0),
        days=st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
        max_length=st.integers(min_value=1, max_value=5),
-       min_support=supports, shard_count=st.sampled_from([2, 3]))
+       min_support=supports, shard_count=st.sampled_from([1, 2, 3]))
 def test_sharded_mining_bytes_match(engines, start, days, max_length,
                                     min_support, shard_count):
-    reference, coordinators, (first, last) = engines
+    reference, coordinators, (first, last), oracle = engines
     query = None
     if days is not None:
         begin = first + start * max(0.0, last - first - days * DAY)
         query = {"expr": {"op": "window", "start": begin,
                           "end": begin + days * DAY}}
-    body = P.MinePatterns(session=SESSION, query=query,
-                          min_support=min_support,
-                          max_length=max_length).to_json()
-    status, reply = execute_json(reference, body)
-    assert status == 200
-    assert execute_json(coordinators[shard_count], body) \
-        == (status, reply)
+    command = P.MinePatterns(session=SESSION, query=query,
+                             min_support=min_support,
+                             max_length=max_length)
+    expected = reference_reads.wire(oracle, command)
+    assert execute_json(reference, command.to_json()) == expected
+    assert execute_json(coordinators[shard_count], command.to_json()) \
+        == expected
 
 
 def spy(coordinator, monkeypatch):

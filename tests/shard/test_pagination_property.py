@@ -4,9 +4,11 @@ Hypothesis drives the whole cursor-translation surface — random
 corpus slices, shard counts, *adversarial* routers (any function of
 the doc id, not just the hash ring), orderings, directions and page
 sizes — and asserts that a full cursor walk over the sharded engine
-yields byte-identical pages to the single-process executor.  A second
-property checks the hard case: a cursor issued before more documents
-arrive must resume identically after both engines ingest them.
+yields byte-identical pages to the single-process executor, and both
+the pages of the test-side reference (:mod:`tests.service
+.reference_reads`).  A second property checks the hard case: a cursor
+issued before more documents arrive must resume identically after
+every engine ingests them.
 """
 
 import json
@@ -19,6 +21,8 @@ from repro.service.executor import LocalBinding
 from repro.service.registry import SessionRegistry
 from repro.service.wire import execute_json
 from repro.shard import ShardCoordinator
+from repro.storage.store import TrajectoryStore
+from tests.service import reference_reads
 
 SESSION = "s"
 ORDERINGS = [None, "doc_id", "mo_id", "t_start", "t_end",
@@ -55,13 +59,18 @@ def engines(docs, shard_count, seed):
 
 def walk(engine, order_by, descending, limit, offset=0,
          cursor=None):
+    """The page bodies of a whole walk; ``engine`` is an engine or a
+    reference store."""
     pages = []
     while True:
         command = P.RunQuery(session=SESSION, limit=limit,
                              cursor=cursor, offset=offset,
                              order_by=order_by,
                              descending=descending)
-        status, body = execute_json(engine, command.to_json())
+        if isinstance(engine, TrajectoryStore):
+            status, body = reference_reads.wire(engine, command)
+        else:
+            status, body = execute_json(engine, command.to_json())
         assert status == 200, body
         pages.append(body)
         cursor = json.loads(body)["next_cursor"]
@@ -83,8 +92,10 @@ def test_sharded_walk_equals_unsharded_walk(data):
     offset = data.draw(st.integers(min_value=0, max_value=5))
 
     single, sharded = engines(docs[:count], shard_count, seed)
-    assert walk(sharded, order_by, descending, limit, offset) \
-        == walk(single, order_by, descending, limit, offset)
+    expected = walk(reference_reads.store_of(docs[:count]), order_by,
+                    descending, limit, offset)
+    assert walk(single, order_by, descending, limit, offset) == expected
+    assert walk(sharded, order_by, descending, limit, offset) == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -100,11 +111,12 @@ def test_cursor_survives_concurrent_ingest(data):
     limit = data.draw(st.integers(min_value=1, max_value=7))
 
     single, sharded = engines(docs[:split], shard_count, seed)
+    oracle = reference_reads.store_of(docs[:split])
     first = P.RunQuery(session=SESSION, limit=limit,
                        order_by=order_by, descending=descending)
     page_single = execute_json(single, first.to_json())
-    page_sharded = execute_json(sharded, first.to_json())
-    assert page_sharded == page_single
+    assert page_single == reference_reads.wire(oracle, first)
+    assert execute_json(sharded, first.to_json()) == page_single
     cursor = json.loads(page_single[1])["next_cursor"]
 
     late = docs[split:]
@@ -112,8 +124,11 @@ def test_cursor_survives_concurrent_ingest(data):
                                                 docs=late))
     sharded.execute_command(P.IngestDocuments(session=SESSION,
                                               docs=late))
+    reference_reads.extend(oracle, late)
     if cursor is not None:
+        expected = walk(oracle, order_by, descending, limit,
+                        cursor=cursor)
+        assert walk(single, order_by, descending, limit,
+                    cursor=cursor) == expected
         assert walk(sharded, order_by, descending, limit,
-                    cursor=cursor) \
-            == walk(single, order_by, descending, limit,
-                    cursor=cursor)
+                    cursor=cursor) == expected
